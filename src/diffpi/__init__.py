@@ -6,18 +6,17 @@ __version__ = "0.1.0"
 from .algebra import (Algebra, AlgebraWithDerivations, Derivation,
                       DerivationAction, WedderburnData, builtin,
                       check_l_stability, direct_sum, inner_derivation,
-                      make_action, multiply, radical, radical_powers,
+                      make_action, radical, radical_powers,
                       split_derivation, wedderburn)
 from .characters import (CocharacterTable, cocharacter, cycle_type_class_size,
                          hook_dimension, irr_char, module_trace, partitions,
                          support_check, support_violations)
-from .codim import (DEFAULT_BUDGET, CodimResult, EvaluationMatrix, codim,
-                    codim_via_ideal, evaluate, evaluation_cost,
-                    evaluation_matrix, is_identity)
+from .codim import (DEFAULT_BUDGET, CodimResult, codim, codim_via_ideal,
+                    evaluate, evaluation_cost, is_identity)
 from .errors import (BudgetExceeded, CapExceeded, DiffPiError,
                      DiffSyntaxError, IntegrityError, InvariantViolation,
                      NonIntegerMultiplicity, NonSplit, NotMultilinear,
-                     NotPolynomialGrowth, UnknownOperator)
+                     NotPolynomialGrowth, UnknownBuiltin, UnknownOperator)
 from .freediff import (DiffMonomial, DiffPoly, OperatorBasis, apply_word,
                        consequences, derive_poly, format_diff_poly,
                        operator_basis, parse_diff_poly, sn_act,

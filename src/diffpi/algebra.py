@@ -18,9 +18,12 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import IntegrityError, InvariantViolation, NonSplit
+from .errors import (IntegrityError, InvariantViolation, NonSplit,
+                     UnknownBuiltin)
+from .freediff import _mat_flat
 from .linalg import (ONE, ZERO, RowSpan, SparseMatrix, as_scalar,
                      nullspace, solve)
 
@@ -88,10 +91,6 @@ class Algebra:
         return None
 
 
-def multiply(a: Algebra, u: Sequence, v: Sequence) -> Vector:
-    return a.multiply(u, v)
-
-
 @dataclass(frozen=True)
 class Derivation:
     """Linear map given by its matrix (rows), expected to satisfy Leibniz."""
@@ -130,11 +129,6 @@ def inner_derivation(a: Algebra, x: Sequence, name: str = "ad") -> Derivation:
     matrix = tuple(tuple(cols[j][i] for j in range(a.dim))
                    for i in range(a.dim))
     return Derivation(name=name, matrix=matrix)
-
-
-def _mat_flat(m) -> dict:
-    n = len(m)
-    return {i * n + j: m[i][j] for i in range(n) for j in range(n) if m[i][j]}
 
 
 class DerivationAction(NamedTuple):
@@ -406,7 +400,7 @@ def _rational_roots(minrel: list[Fraction]) -> list[Fraction]:
     coeffs = [-c for c in minrel] + [ONE]  # ascending, degree d monic
     den = 1
     for c in coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+        den = den * c.denominator // gcd(den, c.denominator)
     ints = [int(c * den) for c in coeffs]
     lead = ints[-1]
     v = 0
@@ -424,11 +418,6 @@ def _rational_roots(minrel: list[Fraction]) -> list[Fraction]:
                     if r not in roots and _poly_eval(coeffs, r) == 0:
                         roots.append(r)
     return sorted(roots)
-
-
-def _gcd(a: int, b: int) -> int:
-    from math import gcd
-    return gcd(a, b)
 
 
 def _divisors(n: int) -> list[int]:
@@ -873,7 +862,7 @@ def builtin(name: str) -> AlgebraWithDerivations:
         else:
             a = _idempotents_algebra(num)
         return AlgebraWithDerivations(a, make_action(a, []))
-    raise InvariantViolation(f"unknown builtin algebra {name!r}")
+    raise UnknownBuiltin(f"unknown builtin algebra {name!r}")
 
 
 def _ut2eps_algebra() -> Algebra:

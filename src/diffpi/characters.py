@@ -4,22 +4,25 @@ Irreducible characters come from the Murnaghan Nakayama rule on beta
 sets. Multiplicities of the quotient module are recovered from exact
 traces of one representative permutation per cycle type: the trace of g
 is read off by expressing each permuted quotient row in the tracked row
-basis. Everything is Fraction arithmetic; a multiplicity that fails to
-be a non-negative integer aborts loudly.
+basis. Evaluation is S_n-equivariant, so the row of g.m is the row of m
+that codim() already computed, with its input-tuple columns relabelled
+by g; no monomial is evaluated twice. Everything is Fraction
+arithmetic; a multiplicity that fails to be a non-negative integer
+aborts loudly.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Algebra
-from .codim import codim, monomial_row
+from .codim import codim
 from .errors import IntegrityError, NonIntegerMultiplicity
-from .freediff import DiffMonomial, OperatorBasis, sn_act, DiffPoly
-from .linalg import ONE, ZERO, RowSpan
+from .freediff import OperatorBasis
+from .linalg import ZERO, RowSpan
 
 Partition = tuple
 
@@ -107,26 +110,50 @@ def representative(mu: Partition, n: int) -> tuple:
     return tuple(perm)
 
 
-def module_trace(a: Algebra, ob: OperatorBasis, n: int,
-                 quotient_basis: Sequence[DiffMonomial]) -> dict:
+def column_relabelling(g: tuple, dim: int) -> list:
+    """Input-tuple index map of g: tuple s goes to t with t[g[v]] = s[v].
+
+    g.m evaluated at the tuple t has the value of m at the tuple s, so
+    row(g.m) is row(m) with column (s, c) moved to (t, c).
+    """
+    n = len(g)
+    out = []
+    for s in product(range(dim), repeat=n):
+        t = [0] * n
+        for v in range(n):
+            t[g[v]] = s[v]
+        t_idx = 0
+        for x in t:
+            t_idx = t_idx * dim + x
+        out.append(t_idx)
+    return out
+
+
+def permuted_row(row: dict, relabel: Sequence[int], dim: int) -> dict:
+    """Row of g.m from the row of m, with relabel = column_relabelling(g)."""
+    return {relabel[col // dim] * dim + col % dim: v
+            for col, v in row.items()}
+
+
+def module_trace(dim: int, n: int, rows: Sequence[dict]) -> dict:
     """Trace of each cycle type acting on the multilinear quotient.
 
-    The quotient rows (tracked) form a basis; g sends basis monomial b
-    to the monomial g.b whose row is expressed back in that basis. The
+    rows are the evaluation rows of a quotient basis, as codim() returns
+    them. They are tracked as a basis; g sends basis row i to the
+    relabelled row of g.m, which is expressed back in that basis. The
     trace accumulates the diagonal coefficients. Exact by construction;
-    an inexpressible row means the quotient basis was not one.
+    an inexpressible row means the rows did not span an S_n-module.
     """
     span = RowSpan(track=True)
-    for i, mono in enumerate(quotient_basis):
-        if not span.insert(monomial_row(a, ob, mono), tag=i):
+    for i, row in enumerate(rows):
+        if not span.insert(row, tag=i):
             raise IntegrityError("quotient basis rows are dependent")
     out = {}
     for mu in partitions(n):
-        g = representative(mu, n)
+        relabel = column_relabelling(representative(mu, n), dim)
         tr = ZERO
-        for i, mono in enumerate(quotient_basis):
-            moved = DiffMonomial(tuple(g[v] for v in mono.perm), mono.labels)
-            combo = span.express(monomial_row(a, ob, moved))
+        for i, row in enumerate(rows):
+            combo = span.express(permuted_row(row, relabel, dim))
             if combo is None:
                 raise IntegrityError("permuted row escaped the quotient "
                                      "span; evaluation is not equivariant")
@@ -143,6 +170,8 @@ class CocharacterTable(NamedTuple):
     colength: int               # sum of the differential multiplicities
     colength_ordinary: int
     module_character: dict      # cycle type -> exact trace (differential)
+    c_n_L: int                  # the codimensions the multiplicities rebuild
+    c_n: int
 
     def multiplicity(self, lam: Partition) -> int:
         for l, mL, mo in self.rows:
@@ -177,10 +206,8 @@ def cocharacter(a: Algebra, ob: OperatorBasis, n: int,
                 budget: Optional[int] = None) -> CocharacterTable:
     """Cocharacter decomposition at degree n, with the ordinary one."""
     full = codim(a, ob, n, budget=budget)
-    ordinary = codim(a, ob, n, ordinary_only=True, budget=budget)
-    traces = module_trace(a, ob, n, full.quotient_basis)
-    traces_ord = module_trace(a, _strip(ob), n, ordinary.quotient_basis) \
-        if ordinary.quotient_basis else {mu: ZERO for mu in partitions(n)}
+    traces = module_trace(a.dim, n, full.quotient_rows)
+    traces_ord = module_trace(a.dim, n, full.ordinary_rows)
     m_L = _multiplicities(n, traces)
     m_ord = _multiplicities(n, traces_ord)
     rows = tuple((lam, m_L[lam], m_ord[lam]) for lam in partitions(n))
@@ -188,19 +215,15 @@ def cocharacter(a: Algebra, ob: OperatorBasis, n: int,
         raise IntegrityError("differential multiplicities do not rebuild "
                              "the codimension")
     if sum(mo * irr_char(lam, tuple([1] * n)) for lam, _, mo in rows) \
-            != ordinary.c_n_ordinary:
+            != full.c_n_ordinary:
         raise IntegrityError("ordinary multiplicities do not rebuild the "
                              "codimension")
     return CocharacterTable(
         n=n, rows=rows,
         colength=sum(m for _, m, _ in rows),
         colength_ordinary=sum(mo for _, _, mo in rows),
-        module_character={mu: traces[mu] for mu in partitions(n)})
-
-
-def _strip(ob: OperatorBasis) -> OperatorBasis:
-    from .codim import _identity_only
-    return _identity_only(ob)
+        module_character={mu: traces[mu] for mu in partitions(n)},
+        c_n_L=full.c_n_L, c_n=full.c_n_ordinary)
 
 
 def support_violations(table: CocharacterTable, q: int) -> list:

@@ -24,7 +24,8 @@ from .codim import codim
 from .characters import cocharacter
 from .errors import (BudgetExceeded, DiffPiError, DiffSyntaxError,
                      IntegrityError, InvariantViolation, NonSplit,
-                     NotMultilinear, NotPolynomialGrowth, UnknownOperator)
+                     NotMultilinear, NotPolynomialGrowth, UnknownBuiltin,
+                     UnknownOperator)
 from .freediff import (consequences, format_diff_poly, operator_basis,
                        parse_diff_poly)
 from .growth import classify, detect_ut2_pattern, exponent
@@ -168,7 +169,10 @@ def load_input(source: str) -> Loaded:
     """Resolve a path to an AlgebraFile or, failing that, a builtin name.
 
     The digest is the sha256 of the file bytes, or of the name for a
-    builtin, so reports pin down exactly what was computed on.
+    builtin, so reports pin down exactly what was computed on. Only an
+    unknown name reads "no such builtin"; a known one that fails to
+    build, such as a direct sum whose summands name their generators
+    differently, raises its own InvariantViolation.
     """
     if os.path.exists(source):
         with open(source, "rb") as fh:
@@ -186,7 +190,7 @@ def load_input(source: str) -> Loaded:
         return Loaded(source, digest, a, ders)
     try:
         awd = builtin(source)
-    except InvariantViolation:
+    except UnknownBuiltin:
         raise AlgebraFileError(
             f"{source}: no such file and no such builtin algebra")
     digest = hashlib.sha256(f"builtin:{source}".encode()).hexdigest()

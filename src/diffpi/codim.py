@@ -11,21 +11,25 @@ A single product over each label vector and unordered input tuple is
 computed once; permuted monomials reuse it with relocated columns. That
 keeps the work at O(k^n dim^n) algebra products instead of n! times
 that.
+
+codim() is the one evaluation pass per degree: it returns the rows of
+the differential and of the ordinary quotient basis, and the module
+traces of characters.py get every permuted row from these by moving
+columns, never by evaluating again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import Algebra
 from .errors import BudgetExceeded, NotMultilinear
 from .freediff import (DiffMonomial, DiffPoly, OperatorBasis, consequences,
                        mat_apply, validate_multilinear)
-from .linalg import ONE, ZERO, RowSpan, SparseMatrix
+from .linalg import ONE, ZERO, RowSpan
 
 DEFAULT_BUDGET = 100_776_960  # 6! * 2**6 * 3**7, the reference workload
 
@@ -41,15 +45,6 @@ def ensure_budget(n: int, k: int, dim: int, budget: Optional[int]) -> None:
         raise BudgetExceeded(
             f"degree {n} evaluation costs {cost} units against a budget "
             f"of {budget}", n=n, cost=cost, budget=budget)
-
-
-class EvaluationMatrix(NamedTuple):
-    """Materialized evaluation of all degree-n monomials."""
-
-    n: int
-    row_index: tuple          # DiffMonomial per row
-    col_index: tuple          # (input tuple, output coordinate) per column
-    matrix: SparseMatrix
 
 
 def _base_tensors(a: Algebra, ob: OperatorBasis, n: int) -> dict:
@@ -81,35 +76,6 @@ def _base_tensors(a: Algebra, ob: OperatorBasis, n: int) -> dict:
         walk(0, (), None)
         out[h] = rows
     return out
-
-
-def evaluation_matrix(a: Algebra, ob: OperatorBasis, n: int,
-                      budget: Optional[int] = None) -> EvaluationMatrix:
-    """Rows for every monomial of degree n, in monomial order."""
-    ensure_budget(n, ob.k, a.dim, budget)
-    dim, k = a.dim, ob.k
-    tensors = _base_tensors(a, ob, n)
-    row_index = []
-    rows = []
-    for sigma in permutations(range(n)):
-        for h in product(range(k), repeat=n):
-            row = {}
-            for u, entries in tensors[h]:
-                t = [0] * n
-                for p in range(n):
-                    t[sigma[p]] = u[p]
-                t_idx = 0
-                for x in t:
-                    t_idx = t_idx * dim + x
-                for c, v in entries.items():
-                    row[t_idx * dim + c] = v
-            row_index.append(DiffMonomial(sigma, h))
-            rows.append(row)
-    col_index = tuple((t, c) for t in product(range(dim), repeat=n)
-                      for c in range(dim))
-    m = SparseMatrix(len(rows), dim ** (n + 1) if dim else 0, rows)
-    return EvaluationMatrix(n=n, row_index=tuple(row_index),
-                            col_index=col_index, matrix=m)
 
 
 def monomial_row(a: Algebra, ob: OperatorBasis, m: DiffMonomial) -> dict:
@@ -152,6 +118,9 @@ class CodimResult:
     c_n_L: int
     c_n_ordinary: int
     quotient_basis: tuple  # DiffMonomial rows that extend the span
+    quotient_rows: tuple   # evaluation row of each quotient monomial
+    ordinary_basis: tuple  # identity-label monomials extending their span
+    ordinary_rows: tuple
 
 
 def codim(a: Algebra, ob: OperatorBasis, n: int,
@@ -161,7 +130,8 @@ def codim(a: Algebra, ob: OperatorBasis, n: int,
 
     With ordinary_only=True only identity labels are evaluated and both
     reported numbers coincide; the quotient basis then spans the
-    ordinary multilinear quotient.
+    ordinary multilinear quotient. Either way the ordinary basis holds
+    the identity-label monomials that extend the ordinary span.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
@@ -172,7 +142,8 @@ def codim(a: Algebra, ob: OperatorBasis, n: int,
         _base_tensors(a, _identity_only(ob), n)
     span = RowSpan()
     ordinary_span = RowSpan()
-    quotient = []
+    quotient, quotient_rows = [], []
+    ordinary, ordinary_rows = [], []
     idty = tuple([0] * n)
     for sigma in permutations(range(n)):
         for h in product(range(k), repeat=n):
@@ -188,11 +159,16 @@ def codim(a: Algebra, ob: OperatorBasis, n: int,
                     row[t_idx * dim + c] = v
             if span.insert(row):
                 quotient.append(DiffMonomial(sigma, h))
-            if h == idty:
-                ordinary_span.insert(dict(row))
+                quotient_rows.append(row)
+            if h == idty and ordinary_span.insert(row):
+                ordinary.append(DiffMonomial(sigma, h))
+                ordinary_rows.append(row)
     return CodimResult(n=n, c_n_L=len(span),
                        c_n_ordinary=len(ordinary_span),
-                       quotient_basis=tuple(quotient))
+                       quotient_basis=tuple(quotient),
+                       quotient_rows=tuple(quotient_rows),
+                       ordinary_basis=tuple(ordinary),
+                       ordinary_rows=tuple(ordinary_rows))
 
 
 def _identity_only(ob: OperatorBasis) -> OperatorBasis:

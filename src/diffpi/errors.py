@@ -17,6 +17,10 @@ class InvariantViolation(DiffPiError):
         self.witness = witness
 
 
+class UnknownBuiltin(InvariantViolation):
+    """A builtin algebra name, or a summand of one, is not known."""
+
+
 class NonSplit(DiffPiError):
     """The semisimple quotient does not split over the rationals, or the
     splitting search exhausted its retry budget."""

@@ -19,7 +19,6 @@ from .algebra import (Algebra, AlgebraWithDerivations, Derivation,
                       DerivationAction, WedderburnData, check_l_stability,
                       make_action, wedderburn)
 from .characters import cocharacter, support_check, support_violations
-from .codim import codim
 from .errors import BudgetExceeded, IntegrityError, NotPolynomialGrowth
 from .freediff import operator_basis
 from .linalg import ONE, ZERO, RowSpan
@@ -74,15 +73,14 @@ def exponent(a: Algebra, wd: Optional[WedderburnData] = None,
 def detect_ut2_pattern(a: Algebra, wd: WedderburnData):
     """Witness (i, k, element) with 1_i j 1_k != 0 for distinct blocks,
     or None. Such a sandwich generates a two block pattern that already
-    carries exponential growth."""
-    for i, ei in enumerate(wd.block_idempotents):
-        for k, ek in enumerate(wd.block_idempotents):
-            if i == k:
-                continue
-            for jb in wd.radical_basis:
-                w = a.multiply(a.multiply(ei, jb), ek)
-                if any(w):
-                    return (i, k, w)
+    carries exponential growth. The pairs come from
+    wd.radical_path_graph; only the witness element is recomputed."""
+    for i, k in sorted(wd.radical_path_graph):
+        ei, ek = wd.block_idempotents[i], wd.block_idempotents[k]
+        for jb in wd.radical_basis:
+            w = a.multiply(a.multiply(ei, jb), ek)
+            if any(w):
+                return (i, k, w)
     return None
 
 
@@ -157,9 +155,8 @@ def classify(awd: AlgebraWithDerivations, max_n: int = 3, seed: int = 0,
             table = cocharacter(a, ob, n, budget=budget)
         except BudgetExceeded:
             break
-        c_full = codim(a, ob, n, budget=budget)
-        c_vals.append(c_full.c_n_L)
-        c_ord_vals.append(c_full.c_n_ordinary)
+        c_vals.append(table.c_n_L)
+        c_ord_vals.append(table.c_n)
         ok = support_check(table, wd.nilpotency_index)
         support_by_n[n] = {
             "holds": ok,

@@ -3,10 +3,13 @@ from math import factorial
 
 import pytest
 
-from diffpi import (builtin, cocharacter, codim, cycle_type_class_size,
-                    hook_dimension, irr_char, module_trace, operator_basis,
-                    partitions, support_check, support_violations)
-from diffpi.characters import representative
+from diffpi import (DiffMonomial, builtin, cocharacter, codim,
+                    cycle_type_class_size, hook_dimension, irr_char,
+                    module_trace, operator_basis, partitions, support_check,
+                    support_violations)
+from diffpi.characters import (column_relabelling, permuted_row,
+                               representative)
+from diffpi.codim import monomial_row
 
 F = Fraction
 
@@ -80,9 +83,42 @@ def test_hook_dimension_matches_character(n):
 
 def test_module_trace_identity_class(ut2eps, ut2eps_ob):
     for n in (1, 2, 3):
-        tr = module_trace(ut2eps.algebra, ut2eps_ob, n,
-                          codim(ut2eps.algebra, ut2eps_ob, n).quotient_basis)
-        assert tr[(1,) * n] == codim(ut2eps.algebra, ut2eps_ob, n).c_n_L
+        r = codim(ut2eps.algebra, ut2eps_ob, n)
+        tr = module_trace(ut2eps.algebra.dim, n, r.quotient_rows)
+        assert tr[(1,) * n] == r.c_n_L
+
+
+@pytest.mark.parametrize("name,max_n", [("UT2eps", 4), ("M2sl2", 2)])
+def test_relabelled_rows_match_fresh_evaluation(name, max_n):
+    # the traces never evaluate a moved monomial; this is the
+    # independent check that relabelling columns is that evaluation
+    awd = builtin(name)
+    a = awd.algebra
+    ob = operator_basis(a, awd.action)
+    for n in range(1, max_n + 1):
+        r = codim(a, ob, n)
+        for mu in partitions(n):
+            g = representative(mu, n)
+            relabel = column_relabelling(g, a.dim)
+            for mono, row in zip(r.quotient_basis, r.quotient_rows):
+                assert row == monomial_row(a, ob, mono)
+                moved = DiffMonomial(tuple(g[v] for v in mono.perm),
+                                     mono.labels)
+                assert permuted_row(row, relabel, a.dim) \
+                    == monomial_row(a, ob, moved)
+
+
+@pytest.mark.parametrize("name,max_n", [("UT2eps", 4), ("M2sl2", 2)])
+def test_full_codim_ordinary_basis(name, max_n):
+    awd = builtin(name)
+    a = awd.algebra
+    ob = operator_basis(a, awd.action)
+    for n in range(1, max_n + 1):
+        r = codim(a, ob, n)
+        o = codim(a, ob, n, ordinary_only=True)
+        assert r.ordinary_basis == o.quotient_basis
+        assert r.ordinary_rows == o.quotient_rows
+        assert len(r.ordinary_basis) == r.c_n_ordinary
 
 
 def test_cocharacter_ut2eps_n2(ut2eps, ut2eps_ob):

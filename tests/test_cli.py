@@ -194,6 +194,19 @@ def test_exit_code_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_builtin_errors_name_their_cause(capsys):
+    # a known sum whose summands name their generators differently is not
+    # an unknown name: the direct sum's own error is reported
+    code, out, err = run(capsys, "codim", "UT2eps+M2sl2")
+    assert code == 2
+    assert "direct sum needs identical generator names" in err
+    assert "no such builtin" not in err
+    for name in ("nosuch", "UT2eps+nosuch"):
+        code, out, err = run(capsys, "codim", name)
+        assert code == 1
+        assert f"{name}: no such file and no such builtin algebra" in err
+
+
 def test_exit_code_nonsplit(capsys, tmp_path):
     f = tmp_path / "qi.json"
     f.write_text(json.dumps({

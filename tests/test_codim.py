@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from diffpi import (BudgetExceeded, builtin, codim, codim_via_ideal,
-                    evaluate, evaluation_cost, evaluation_matrix, is_identity,
-                    operator_basis, parse_diff_poly)
+                    evaluate, evaluation_cost, is_identity, operator_basis,
+                    parse_diff_poly)
 
 F = Fraction
 
@@ -55,13 +55,6 @@ def test_budget_exceeded_fields(ut2eps, ut2eps_ob):
     assert e.value.n == 3
     assert e.value.budget == 10
     assert e.value.cost == evaluation_cost(3, 2, 3)
-
-
-def test_evaluation_matrix_shape(ut2eps, ut2eps_ob):
-    m = evaluation_matrix(ut2eps.algebra, ut2eps_ob, 2)
-    assert m.n == 2
-    assert len(m.row_index) == 2 * 4  # n! * k^n
-    assert len(m.matrix.rows) == len(m.row_index)
 
 
 def test_evaluate_concrete(ut2eps, ut2eps_ob):
