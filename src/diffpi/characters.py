@@ -2,13 +2,13 @@
 
 Irreducible characters come from the Murnaghan Nakayama rule on beta
 sets. Multiplicities of the quotient module are recovered from exact
-traces of one representative permutation per cycle type: the trace of g
-is read off by expressing each permuted quotient row in the tracked row
-basis. Evaluation is S_n-equivariant, so the row of g.m is the row of m
-that codim() already computed, with its input-tuple columns relabelled
-by g; no monomial is evaluated twice. Everything is Fraction
-arithmetic; a multiplicity that fails to be a non-negative integer
-aborts loudly.
+traces of one representative permutation per cycle type. Evaluation is
+S_n-equivariant, so the row of g.m is the row of m that codim() already
+computed, with its input-tuple columns relabelled by g; no monomial is
+evaluated twice. The trace of g is read off the relabelled rows of the
+reduced echelon basis of the quotient rows, in which a row's
+coordinates are its pivot entries. Everything is exact; a multiplicity
+that fails to be a non-negative integer aborts loudly.
 """
 
 from __future__ import annotations
@@ -139,25 +139,28 @@ def module_trace(dim: int, n: int, rows: Sequence[dict]) -> dict:
     """Trace of each cycle type acting on the multilinear quotient.
 
     rows are the evaluation rows of a quotient basis, as codim() returns
-    them. They are tracked as a basis; g sends basis row i to the
-    relabelled row of g.m, which is expressed back in that basis. The
-    trace accumulates the diagonal coefficients. Exact by construction;
-    an inexpressible row means the rows did not span an S_n-module.
+    them, and span a space V that every g maps into itself. In the
+    reduced echelon basis of V a vector's coordinates are its entries at
+    the pivot columns, so the trace of g sums, over the basis rows b
+    with pivot column c, entry c of the relabelled row of b. Exact by
+    construction; a relabelled row outside V means the rows did not
+    span an S_n-module.
     """
-    span = RowSpan(track=True)
-    for i, row in enumerate(rows):
-        if not span.insert(row, tag=i):
+    span = RowSpan()
+    for row in rows:
+        if not span.insert(row):
             raise IntegrityError("quotient basis rows are dependent")
+    basis = span.reduced_rows()
     out = {}
     for mu in partitions(n):
         relabel = column_relabelling(representative(mu, n), dim)
         tr = ZERO
-        for i, row in enumerate(rows):
-            combo = span.express(permuted_row(row, relabel, dim))
-            if combo is None:
+        for c, b in basis.items():
+            moved = permuted_row(b, relabel, dim)
+            if not span.contains(moved):
                 raise IntegrityError("permuted row escaped the quotient "
                                      "span; evaluation is not equivariant")
-            tr += combo.get(i, ZERO)
+            tr += moved.get(c, ZERO)
         out[mu] = tr
     return out
 

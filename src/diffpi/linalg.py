@@ -3,19 +3,19 @@
 Scalars are fractions.Fraction throughout: arithmetic is exact and
 canonical (normalized sign, lowest terms), so equality of results never
 depends on evaluation order and no rounding ever happens. Matrices are
-dict-of-dicts sparse; the elimination keeps rows rescaled to primitive
-integer vectors to control coefficient growth, in the spirit of
-fraction-free Gaussian elimination.
+dict-of-dicts sparse. RowSpan eliminates on primitive integer multiples
+of its rows, in the spirit of fraction-free Gaussian elimination, and
+returns the same pivots as rational elimination would.
 
-All pivot choices are deterministic: Markowitz score with (row, col)
-lexicographic tie break for rank, leftmost column with smallest row
-index elsewhere. Same input, same pivots, same output.
+All pivot choices are deterministic: columns are cleared left to right,
+by the row with the fewest nonzeros in _eliminate and by the earliest
+inserted row in RowSpan. Same input, same pivots, same output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 Scalar = Fraction
@@ -68,76 +68,12 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
-def _primitive(row: dict) -> dict:
-    """Rescale a sparse row to integer entries with content 1.
-
-    Keeps numbers small during elimination; scaling does not change the
-    row space. The sign of the leading (smallest column) entry is made
-    positive so the result is canonical.
-    """
-    if not row:
-        return row
-    den = 1
-    for v in row.values():
-        den = den * v.denominator // gcd(den, v.denominator)
-    num = 0
-    for v in row.values():
-        num = gcd(num, abs(v.numerator * (den // v.denominator)))
-    if num == 0:
-        return {}
-    lead = min(row)
-    scale = Fraction(den, num)
-    if row[lead] < 0:
-        scale = -scale
-    return {j: v * scale for j, v in row.items()}
-
-
 def rank(m: SparseMatrix) -> int:
-    """Rank by sparse elimination with Markowitz pivoting.
-
-    Pivot = entry minimizing (nnz(row)-1)*(nnz(col)-1), ties broken by
-    (row, col) lexicographic order.
-    """
-    rows = {i: _primitive(r) for i, r in enumerate(m.rows) if r}
-    cols: dict[int, set] = {}
-    for i, r in rows.items():
-        for j in r:
-            cols.setdefault(j, set()).add(i)
-    rk = 0
-    while rows:
-        best = None
-        for i in sorted(rows):
-            r = rows[i]
-            ri = len(r) - 1
-            for j in r:
-                score = ri * (len(cols[j]) - 1)
-                key = (score, i, j)
-                if best is None or key < best:
-                    best = key
-        _, pi, pj = best
-        piv_row = rows.pop(pi)
-        piv = piv_row[pj]
-        for j in piv_row:
-            cols[j].discard(pi)
-        for i in list(cols[pj]):
-            r = rows[i]
-            factor = r[pj] / piv
-            for j, v in piv_row.items():
-                nv = r.get(j, ZERO) - factor * v
-                if nv:
-                    if j not in r:
-                        cols[j].add(i)
-                    r[j] = nv
-                else:
-                    if j in r:
-                        del r[j]
-                        cols[j].discard(i)
-            if r:
-                rows[i] = _primitive(r)
-            else:
-                del rows[i]
-        rk += 1
-    return rk
+    """Rank, as the size of the RowSpan of the rows."""
+    span = RowSpan()
+    for row in m.rows:
+        span.insert({j: v for j, v in row.items() if v})
+    return len(span)
 
 
 def _eliminate(rows: list[dict], ncols: int):
@@ -234,6 +170,12 @@ class RowSpan:
     leading = smallest column). Rows inserted earlier always win ties,
     so with rows offered in a fixed order the accepted set is canonical.
 
+    Reduction runs on primitive integer multiples of the rows: clearing
+    the leading column of an integer row against an integer pivot row
+    gives a multiple of the rational residue, so the accepted set and
+    the normalized pivots are exactly those of rational elimination,
+    at the cost of int rather than Fraction arithmetic.
+
     With track=True each stored row remembers its expression in terms of
     the ORIGINAL inserted rows, so express() can write any vector of the
     span as a combination of accepted originals.
@@ -241,6 +183,7 @@ class RowSpan:
 
     def __init__(self, track: bool = False):
         self.pivots: dict[int, dict] = {}
+        self._ints: dict[int, dict] = {}  # lead -> primitive integer row
         self.track = track
         self.combos: dict[int, dict] = {}
         self.count = 0
@@ -249,39 +192,60 @@ class RowSpan:
         return len(self.pivots)
 
     def _reduce(self, row: dict):
-        row = dict(row)
+        """(res, scale, combo): res is the residue of row times scale, a
+        primitive integer row; residue = row + sum of combo[k] times
+        original k (combo and scale are kept only with track=True)."""
+        if not row:  # most products offered by exponent() vanish
+            return {}, None, {}
+        den = lcm(*[v.denominator for v in row.values()])
+        res = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+        scale = Fraction(den) if self.track else None
         combo: dict[int, Fraction] = {}
-        while row:
-            lead = min(row)
-            piv = self.pivots.get(lead)
+        while res:
+            c = gcd(*res.values())
+            if c != 1:
+                res = {j: v // c for j, v in res.items()}
+                if self.track:
+                    scale /= c
+            lead = min(res)
+            piv = self._ints.get(lead)
             if piv is None:
                 break
-            f = row[lead]
-            for j, v in piv.items():
-                nv = row.get(j, ZERO) - f * v
-                if nv:
-                    row[j] = nv
-                elif j in row:
-                    del row[j]
+            r = res[lead]
             if self.track:
+                f = r / scale
                 for k, v in self.combos[lead].items():
                     nv = combo.get(k, ZERO) - f * v
                     if nv:
                         combo[k] = nv
                     elif k in combo:
                         del combo[k]
-        return row, combo
+            g = gcd(piv[lead], r)
+            a, b = piv[lead] // g, r // g
+            if a != 1:
+                res = {j: a * v for j, v in res.items()}
+                if self.track:
+                    scale *= a
+            for j, v in piv.items():
+                nv = res.get(j, 0) - b * v
+                if nv:
+                    res[j] = nv
+                else:
+                    del res[j]
+        return res, scale, combo
 
     def insert(self, row: dict, tag=None) -> bool:
         """Add a row to the span. True if it enlarged the span."""
-        residue, combo = self._reduce(row)
+        residue, scale, combo = self._reduce(row)
         if not residue:
             return False
         lead = min(residue)
-        inv = ONE / residue[lead]
-        self.pivots[lead] = {j: v * inv for j, v in residue.items()}
+        p = residue[lead]
+        self._ints[lead] = residue
+        self.pivots[lead] = {j: Fraction(v, p) for j, v in residue.items()}
         if self.track:
             key = tag if tag is not None else self.count
+            inv = scale / p
             combo = {k: v * inv for k, v in combo.items()}
             combo[key] = combo.get(key, ZERO) + inv
             self.combos[lead] = combo
@@ -289,7 +253,7 @@ class RowSpan:
         return True
 
     def contains(self, row: dict) -> bool:
-        residue, _ = self._reduce(row)
+        residue, _, _ = self._reduce(row)
         return not residue
 
     def express(self, row: dict) -> Optional[dict]:
@@ -299,7 +263,7 @@ class RowSpan:
         """
         if not self.track:
             raise ValueError("span built without tracking")
-        residue, combo = self._reduce(row)
+        residue, _, combo = self._reduce(row)
         if residue:
             return None
         return {k: -v for k, v in combo.items()}
@@ -307,3 +271,21 @@ class RowSpan:
     def basis_rows(self) -> list[dict]:
         """Echelon rows ordered by leading column."""
         return [dict(self.pivots[c]) for c in sorted(self.pivots)]
+
+    def reduced_rows(self) -> dict:
+        """Reduced echelon basis {pivot column: row}: each row is 1 at its
+        own pivot column and 0 at every other one, so a vector of the
+        span has its pivot-column entries as coordinates."""
+        out: dict[int, dict] = {}
+        for lead in sorted(self.pivots, reverse=True):
+            row = dict(self.pivots[lead])
+            for c in [c for c in row if c in out]:
+                f = row[c]
+                for j, v in out[c].items():
+                    nv = row.get(j, ZERO) - f * v
+                    if nv:
+                        row[j] = nv
+                    else:
+                        del row[j]
+            out[lead] = row
+        return out

@@ -10,6 +10,8 @@ from diffpi import (DiffMonomial, builtin, cocharacter, codim,
 from diffpi.characters import (column_relabelling, permuted_row,
                                representative)
 from diffpi.codim import monomial_row
+from diffpi.errors import IntegrityError
+from diffpi.linalg import RowSpan
 
 F = Fraction
 
@@ -120,6 +122,36 @@ def test_full_codim_ordinary_basis(name, max_n):
         assert r.ordinary_rows == o.quotient_rows
         assert len(r.ordinary_basis) == r.c_n_ordinary
 
+
+
+@pytest.mark.parametrize("name,max_n", [("UT2eps", 4), ("M2sl2", 2)])
+def test_module_trace_matches_expression_in_quotient_rows(name, max_n):
+    # second route: express each moved quotient row in the tracked basis
+    # of the quotient rows and add up the diagonal coefficients
+    awd = builtin(name)
+    a = awd.algebra
+    ob = operator_basis(a, awd.action)
+    for n in range(1, max_n + 1):
+        rows = codim(a, ob, n).quotient_rows
+        span = RowSpan(track=True)
+        for i, row in enumerate(rows):
+            assert span.insert(row, tag=i)
+        want = {}
+        for mu in partitions(n):
+            relabel = column_relabelling(representative(mu, n), a.dim)
+            want[mu] = sum(span.express(permuted_row(row, relabel, a.dim))
+                           .get(i, 0) for i, row in enumerate(rows))
+        assert module_trace(a.dim, n, rows) == want
+
+
+def test_module_trace_rejects_rows_that_are_not_a_module(ut2eps, ut2eps_ob):
+    r = codim(ut2eps.algebra, ut2eps_ob, 2)
+    moved = permuted_row(r.quotient_rows[0],
+                         column_relabelling((1, 0), ut2eps.algebra.dim),
+                         ut2eps.algebra.dim)
+    assert moved != r.quotient_rows[0]
+    with pytest.raises(IntegrityError, match="escaped"):
+        module_trace(ut2eps.algebra.dim, 2, r.quotient_rows[:1])
 
 def test_cocharacter_ut2eps_n2(ut2eps, ut2eps_ob):
     t = cocharacter(ut2eps.algebra, ut2eps_ob, 2)

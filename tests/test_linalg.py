@@ -129,7 +129,51 @@ def test_solve_roundtrip(rows, data):
 @settings(max_examples=40, deadline=None)
 @given(int_matrix())
 def test_rowspan_size_matches_rank(rows):
+    # rank() is built on RowSpan, so compare with the nullity instead
     s = RowSpan()
     for r in rows:
         s.insert({j: v for j, v in enumerate(r) if v})
-    assert len(s) == rank(SparseMatrix.from_dense(rows))
+    m = SparseMatrix.from_dense(rows)
+    assert len(s) == m.ncols - len(nullspace(m))
+
+
+def rational_pivots(rows):
+    """Reference: plain Fraction elimination, each accepted residue
+    normalized to leading coefficient 1."""
+    pivots, accepted = {}, []
+    for row in rows:
+        row = {j: v for j, v in row.items() if v}
+        while row and min(row) in pivots:
+            piv, f = pivots[min(row)], row[min(row)]
+            for j, v in piv.items():
+                row[j] = row.get(j, F(0)) - f * v
+            row = {j: v for j, v in row.items() if v}
+        accepted.append(bool(row))
+        if row:
+            inv = 1 / row[min(row)]
+            pivots[min(row)] = {j: v * inv for j, v in row.items()}
+    return accepted, pivots
+
+
+fraction = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(fraction, min_size=5, max_size=5), min_size=1,
+                max_size=7))
+def test_rowspan_matches_rational_elimination(rows):
+    sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    want_accepted, want_pivots = rational_pivots(sparse)
+    s = RowSpan(track=True)
+    assert [s.insert(r, tag=i) for i, r in enumerate(sparse)] == want_accepted
+    assert s.pivots == want_pivots
+    for c, row in s.reduced_rows().items():
+        assert row[c] == 1 and not set(row) & (set(s.pivots) - {c})
+        assert s.contains(row)
+    for target in sparse:
+        combo = s.express(target)
+        recon: dict = {}
+        for tag, coeff in combo.items():
+            for col, v in sparse[tag].items():
+                recon[col] = recon.get(col, F(0)) + coeff * v
+        assert {k: v for k, v in recon.items() if v} == target
