@@ -8,6 +8,11 @@ section lifting the quotient back into the algebra (so block idempotents
 are exact), and the decomposition of a derivation into an inner part and
 a remainder vanishing on the lifted complement.
 
+Hot loops carry sparse vectors, dicts {index: Fraction} holding only
+the nonzero coordinates, and multiply them with Algebra.product, the one
+multiplication loop. Algebra.multiply is its dense wrapper for callers
+that hold coordinate tuples.
+
 All searches are deterministic given the seed; the returned data never
 depends on dict iteration order.
 """
@@ -23,9 +28,9 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import (IntegrityError, InvariantViolation, NonSplit,
                      UnknownBuiltin)
-from .freediff import _mat_flat
+from .freediff import _mat_flat, mat_apply
 from .linalg import (ONE, ZERO, RowSpan, SparseMatrix, as_scalar,
-                     nullspace, solve)
+                     nullspace, reduced_echelon, solve, sparse)
 
 Vector = tuple
 
@@ -48,20 +53,24 @@ class Algebra:
         if len(self.basis_labels) != self.dim:
             raise InvariantViolation("basis label count differs from dim")
 
-    def multiply(self, u: Sequence, v: Sequence) -> Vector:
-        out = [ZERO] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                prod = self.table.get((i, j))
+    def product(self, u: dict, v: dict) -> dict:
+        """Product of sparse vectors: only pairs of nonzero coordinates
+        are visited, and only nonzero entries are returned."""
+        table = self.table
+        out: dict = {}
+        for i, ui in u.items():
+            for j, vj in v.items():
+                prod = table.get((i, j))
                 if prod:
                     c = ui * vj
                     for k, w in prod.items():
-                        out[k] += c * w
-        return tuple(out)
+                        out[k] = out.get(k, ZERO) + c * w
+        return {k: x for k, x in out.items() if x}
+
+    def multiply(self, u: Sequence, v: Sequence) -> Vector:
+        """Product of dense coordinate vectors, through product()."""
+        w = self.product(sparse(u), sparse(v))
+        return tuple(w.get(k, ZERO) for k in range(self.dim))
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(ONE if j == i else ZERO for j in range(self.dim))
@@ -69,13 +78,13 @@ class Algebra:
     def associativity_witness(self):
         """First basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k),
         or None."""
-        vecs = [self.basis_vector(i) for i in range(self.dim)]
+        vecs = [{i: ONE} for i in range(self.dim)]
         for i in range(self.dim):
             for j in range(self.dim):
-                ij = self.multiply(vecs[i], vecs[j])
+                ij = self.product(vecs[i], vecs[j])
                 for k in range(self.dim):
-                    left = self.multiply(ij, vecs[k])
-                    right = self.multiply(vecs[i], self.multiply(vecs[j], vecs[k]))
+                    left = self.product(ij, vecs[k])
+                    right = self.product(vecs[i], self.product(vecs[j], vecs[k]))
                     if left != right:
                         return (i, j, k)
         return None
@@ -98,19 +107,13 @@ class Derivation:
     name: str
     matrix: tuple
 
-    def apply(self, v: Sequence) -> Vector:
-        m = self.matrix
-        n = len(m)
-        return tuple(sum((m[i][j] * v[j] for j in range(n) if v[j]), ZERO)
-                     for i in range(n))
-
     def leibniz_witness(self, a: Algebra):
         """First basis pair (i, j) violating d(xy) = d(x)y + x d(y), or None."""
         vecs = [a.basis_vector(i) for i in range(a.dim)]
-        img = [self.apply(v) for v in vecs]
+        img = [mat_apply(self.matrix, v) for v in vecs]
         for i in range(a.dim):
             for j in range(a.dim):
-                lhs = self.apply(a.multiply(vecs[i], vecs[j]))
+                lhs = mat_apply(self.matrix, a.multiply(vecs[i], vecs[j]))
                 rhs = tuple(x + y for x, y in zip(
                     a.multiply(img[i], vecs[j]), a.multiply(vecs[i], img[j])))
                 if lhs != rhs:
@@ -220,11 +223,10 @@ def check_l_stability(a: Algebra, act: DerivationAction,
     """True iff every generating derivation maps the subspace into itself."""
     span = RowSpan()
     for v in subspace:
-        span.insert({i: x for i, x in enumerate(v) if x})
+        span.insert(sparse(v))
     for d in act.generators:
         for v in subspace:
-            w = d.apply(v)
-            if not span.contains({i: x for i, x in enumerate(w) if x}):
+            if not span.contains(sparse(mat_apply(d.matrix, v))):
                 return False
     return True
 
@@ -259,15 +261,17 @@ def radical_powers(a: Algebra, rad: Sequence[Vector]) -> list[list[Vector]]:
     cannot happen for an associative input.
     """
     powers = []
-    current = [tuple(v) for v in rad]
+    rad = [sparse(v) for v in rad]
+    current = rad
     while current:
-        powers.append(current)
+        powers.append([tuple(w.get(i, ZERO) for i in range(a.dim))
+                       for w in current])
         span = RowSpan()
         nxt = []
         for u in rad:
             for v in current:
-                w = a.multiply(u, v)
-                if span.insert({i: x for i, x in enumerate(w) if x}):
+                w = a.product(u, v)
+                if span.insert(w):
                     nxt.append(w)
         if len(nxt) >= len(current):
             raise InvariantViolation("radical chain does not shrink; "
@@ -302,10 +306,7 @@ def _quotient(a: Algebra, rad: Sequence[Vector]):
     Returns (quotient Algebra, rep column indices, project) where
     project maps an A vector to quotient coordinates.
     """
-    from .linalg import _eliminate
-    rows = [{i: x for i, x in enumerate(v) if x} for v in rad]
-    pivots, work = _eliminate(rows, a.dim)
-    piv = {c: work[i] for c, i in pivots}
+    piv = reduced_echelon(sparse(v) for v in rad)
     reps = [c for c in range(a.dim) if c not in piv]
 
     def project(v: Sequence) -> Vector:
@@ -334,13 +335,12 @@ def _quotient(a: Algebra, rad: Sequence[Vector]):
 
 def _subspace_center(q: Algebra, piece: Sequence[Vector]) -> list[Vector]:
     """Central elements of the span of piece, as vectors in q coords."""
-    m = len(piece)
     rows = []
     for p in piece:
+        comm = [[x - y for x, y in zip(q.multiply(b, p), q.multiply(p, b))]
+                for b in piece]
         for c in range(q.dim):
-            rows.append([
-                (q.multiply(piece[i], p)[c] - q.multiply(p, piece[i])[c])
-                for i in range(m)])
+            rows.append([w[c] for w in comm])
     ns = nullspace(SparseMatrix.from_dense(rows)) if rows else []
     out = []
     for coeffs in ns:
@@ -460,7 +460,7 @@ def _split_blocks(q: Algebra, rng: random.Random) -> list[list[Vector]]:
             return [piece]
         tracked = RowSpan(track=True)
         for i, z in enumerate(center):
-            tracked.insert({k: x for k, x in enumerate(z) if x}, tag=i)
+            tracked.insert(sparse(z), tag=i)
         candidates = list(center)
         budget = 8
         tried = 0
@@ -477,8 +477,7 @@ def _split_blocks(q: Algebra, rng: random.Random) -> list[list[Vector]]:
             ok = True
             for c in center:
                 img = q.multiply(z, c)
-                combo = tracked.express({k: x for k, x in enumerate(img) if x}
-                                        ) if any(img) else {}
+                combo = tracked.express(sparse(img)) if any(img) else {}
                 if combo is None:
                     raise IntegrityError("center not closed under product")
                 mat.append([combo.get(i, ZERO) for i in range(len(center))])
@@ -490,12 +489,11 @@ def _split_blocks(q: Algebra, rng: random.Random) -> list[list[Vector]]:
                 continue
             pieces = []
             total = 0
+            zp = [q.multiply(z, b) for b in piece]
             for r in roots:
                 rows = []
                 for c in range(q.dim):
-                    rows.append([
-                        q.multiply(z, piece[i])[c] - r * piece[i][c]
-                        for i in range(len(piece))])
+                    rows.append([w[c] - r * b[c] for w, b in zip(zp, piece)])
                 ns = nullspace(SparseMatrix.from_dense(rows))
                 sub = []
                 for coeffs in ns:
@@ -590,17 +588,15 @@ def _lift_section(a: Algebra, q: Algebra, reps: list[int],
         jk1 = jpowers[k] if k < len(jpowers) else []
         span_k = RowSpan(track=True)
         for i, v in enumerate(jk1):
-            span_k.insert({c: x for c, x in enumerate(v) if x}, tag=("low", i))
+            span_k.insert(sparse(v), tag=("low", i))
         lifts = []
         for i, v in enumerate(jk):
-            if span_k.insert({c: x for c, x in enumerate(v) if x},
-                             tag=("hi", len(lifts))):
+            if span_k.insert(sparse(v), tag=("hi", len(lifts))):
                 lifts.append(v)
         T = len(lifts)
 
         def pi(vec: Sequence) -> list[Fraction]:
-            combo = span_k.express({c: x for c, x in enumerate(vec) if x}) \
-                if any(vec) else {}
+            combo = span_k.express(sparse(vec)) if any(vec) else {}
             if combo is None:
                 raise IntegrityError("defect escaped the radical filtration")
             return [combo.get(("hi", t), ZERO) for t in range(T)]
@@ -693,15 +689,13 @@ def wedderburn(a: Algebra, seed: int = 0) -> WedderburnData:
     if sum(d * d for d in dims) + len(rad) != a.dim:
         raise IntegrityError("block dimensions do not add up")
     edges = set()
-    for i, ei in enumerate(idems):
-        for j, ej in enumerate(idems):
-            if i == j:
-                continue
-            for jb in rad:
-                w = a.multiply(a.multiply(ei, jb), ej)
-                if any(w):
-                    edges.add((i, j))
-                    break
+    sp_idems = [sparse(e) for e in idems]
+    sp_rad = [sparse(v) for v in rad]
+    for i, ei in enumerate(sp_idems):
+        for j, ej in enumerate(sp_idems):
+            if i != j and any(a.product(a.product(ei, jb), ej)
+                              for jb in sp_rad):
+                edges.add((i, j))
     return WedderburnData(
         radical_basis=tuple(tuple(v) for v in rad),
         nilpotency_index=nil_index,
@@ -716,14 +710,11 @@ def wedderburn(a: Algebra, seed: int = 0) -> WedderburnData:
 
 def _canonical_coset(sol: list, null_basis: list[list]) -> Vector:
     """Reduce a particular solution modulo the nullspace, canonically."""
-    from .linalg import _eliminate
-    rows = [{i: x for i, x in enumerate(v) if x} for v in null_basis]
-    pivots, work = _eliminate(rows, len(sol))
     out = list(sol)
-    for c, i in pivots:
+    for c, row in reduced_echelon(sparse(v) for v in null_basis).items():
         f = out[c]
         if f:
-            for j, w in work[i].items():
+            for j, w in row.items():
                 out[j] -= f * w
     return tuple(out)
 
@@ -743,7 +734,7 @@ def split_derivation(a: Algebra, wd: WedderburnData, d: Derivation):
                 e = a.basis_vector(i)
                 imgs.append(tuple(p - q for p, q in zip(
                     a.multiply(e, tv), a.multiply(tv, e))))
-            want = d.apply(tv)
+            want = mat_apply(d.matrix, tv)
             for c in range(a.dim):
                 rows.append([imgs[i][c] for i in range(a.dim)])
                 rhs.append(want[c])
@@ -767,7 +758,7 @@ def split_derivation(a: Algebra, wd: WedderburnData, d: Derivation):
                    for dr, ir in zip(d.matrix, inner.matrix))
     dprime = Derivation(name=f"{d.name}_res", matrix=residu)
     for b in wd.complement_basis:
-        if any(dprime.apply(b)):
+        if any(mat_apply(dprime.matrix, b)):
             raise IntegrityError("residual derivation fails to vanish on "
                                  "the complement")
     return x, dprime

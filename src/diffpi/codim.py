@@ -29,7 +29,7 @@ from .algebra import Algebra
 from .errors import BudgetExceeded, NotMultilinear
 from .freediff import (DiffMonomial, DiffPoly, OperatorBasis, consequences,
                        mat_apply, validate_multilinear)
-from .linalg import ONE, ZERO, RowSpan
+from .linalg import ONE, ZERO, RowSpan, sparse
 
 DEFAULT_BUDGET = 100_776_960  # 6! * 2**6 * 3**7, the reference workload
 
@@ -52,25 +52,23 @@ def _base_tensors(a: Algebra, ob: OperatorBasis, n: int) -> dict:
     ops[h_0](e_{u_0}) ... ops[h_{n-1}](e_{u_{n-1}}) over unordered input
     tuples u, pruned as soon as a prefix product vanishes.
 
-    Returns {h: list of (u, coords dict)}.
+    Returns {h: list of (u, coords)}, coords a sparse vector.
     """
     dim, k = a.dim, ob.k
-    images = [[mat_apply(op, a.basis_vector(i)) for i in range(dim)]
+    images = [[sparse(mat_apply(op, a.basis_vector(i))) for i in range(dim)]
               for op in ob.ops]
     out = {}
     for h in product(range(k), repeat=n):
         rows = []
 
-        def walk(p: int, u: tuple, vec):
+        def walk(p: int, u: tuple, vec: dict):
             if p == n:
-                entries = {c: v for c, v in enumerate(vec) if v}
-                if entries:
-                    rows.append((u, entries))
+                rows.append((u, vec))
                 return
             for b in range(dim):
                 img = images[h[p]][b]
-                nxt = img if p == 0 else a.multiply(vec, img)
-                if any(nxt):
+                nxt = img if p == 0 else a.product(vec, img)
+                if nxt:
                     walk(p + 1, u + (b,), nxt)
 
         walk(0, (), None)
@@ -86,17 +84,17 @@ def monomial_row(a: Algebra, ob: OperatorBasis, m: DiffMonomial) -> dict:
     for t in product(range(dim), repeat=n):
         vec = None
         for p in range(n):
-            img = mat_apply(ob.ops[m.labels[p]], a.basis_vector(t[m.perm[p]]))
-            vec = img if vec is None else a.multiply(vec, img)
-            if not any(vec):
+            img = sparse(mat_apply(ob.ops[m.labels[p]],
+                                   a.basis_vector(t[m.perm[p]])))
+            vec = img if vec is None else a.product(vec, img)
+            if not vec:
                 break
         else:
             t_idx = 0
             for x in t:
                 t_idx = t_idx * dim + x
-            for c, v in enumerate(vec):
-                if v:
-                    row[t_idx * dim + c] = v
+            for c, v in vec.items():
+                row[t_idx * dim + c] = v
     return row
 
 
@@ -160,11 +158,13 @@ def codim(a: Algebra, ob: OperatorBasis, n: int,
             if span.insert(row):
                 quotient.append(DiffMonomial(sigma, h))
                 quotient_rows.append(row)
-            if h == idty and ordinary_span.insert(row):
+            if not ordinary_only and h == idty and ordinary_span.insert(row):
                 ordinary.append(DiffMonomial(sigma, h))
                 ordinary_rows.append(row)
-    return CodimResult(n=n, c_n_L=len(span),
-                       c_n_ordinary=len(ordinary_span),
+    if ordinary_only:  # k = 1: both spans would take the same rows in order
+        ordinary, ordinary_rows = quotient, quotient_rows
+    return CodimResult(n=n, c_n_L=len(quotient),
+                       c_n_ordinary=len(ordinary),
                        quotient_basis=tuple(quotient),
                        quotient_rows=tuple(quotient_rows),
                        ordinary_basis=tuple(ordinary),
@@ -188,12 +188,12 @@ def evaluate(p: DiffPoly, args: Sequence, a: Algebra,
     for m, coeff in p.terms.items():
         vec = None
         for pos in range(n):
-            img = mat_apply(ob.ops[m.labels[pos]], args[m.perm[pos]])
-            vec = img if vec is None else a.multiply(vec, img)
-            if not any(vec):
+            img = sparse(mat_apply(ob.ops[m.labels[pos]], args[m.perm[pos]]))
+            vec = img if vec is None else a.product(vec, img)
+            if not vec:
                 break
         else:
-            for i, v in enumerate(vec):
+            for i, v in vec.items():
                 out[i] += coeff * v
     return tuple(out)
 

@@ -20,18 +20,19 @@ from .algebra import (Algebra, AlgebraWithDerivations, Derivation,
                       make_action, wedderburn)
 from .characters import cocharacter, support_check, support_violations
 from .errors import BudgetExceeded, IntegrityError, NotPolynomialGrowth
-from .freediff import operator_basis
-from .linalg import ONE, ZERO, RowSpan
+from .freediff import mat_apply, operator_basis
+from .linalg import ONE, ZERO, RowSpan, sparse
 
 
-def _span_products(a: Algebra, left: Sequence, right: Sequence) -> list:
-    """Basis of span{u v : u in left, v in right}."""
+def _span_products(a: Algebra, left: Sequence[dict],
+                   right: Sequence[dict]) -> list[dict]:
+    """Basis of span{u v : u in left, v in right}, as sparse vectors."""
     span = RowSpan()
     out = []
     for u in left:
         for v in right:
-            w = a.multiply(u, v)
-            if span.insert({i: x for i, x in enumerate(w) if x}):
+            w = a.product(u, v)
+            if span.insert(w):
                 out.append(w)
     return out
 
@@ -46,10 +47,10 @@ def exponent(a: Algebra, wd: Optional[WedderburnData] = None,
     """
     if wd is None:
         wd = wedderburn(a, seed=seed)
-    blocks = wd.block_bases
+    blocks = [[sparse(v) for v in bb] for bb in wd.block_bases]
     if not blocks:
         return 0
-    rad = list(wd.radical_basis)
+    rad = [sparse(v) for v in wd.radical_basis]
     best = 0
 
     def extend(span_vecs: list, used: frozenset, total: int):
@@ -61,12 +62,12 @@ def exponent(a: Algebra, wd: Optional[WedderburnData] = None,
         for i, bb in enumerate(blocks):
             if i in used:
                 continue
-            nxt = _span_products(a, through, list(bb))
+            nxt = _span_products(a, through, bb)
             if nxt:
                 extend(nxt, used | {i}, total + len(bb))
 
     for i, bb in enumerate(blocks):
-        extend(list(bb), frozenset([i]), len(bb))
+        extend(bb, frozenset([i]), len(bb))
     return best
 
 
@@ -193,14 +194,14 @@ def _subalgebra(a: Algebra, basis: Sequence, labels: Sequence[str],
     subspace, with the restricted generators."""
     span = RowSpan(track=True)
     for i, v in enumerate(basis):
-        if not span.insert({c: x for c, x in enumerate(v) if x}, tag=i):
+        if not span.insert(sparse(v), tag=i):
             raise IntegrityError("subalgebra basis is dependent")
     m = len(basis)
 
     def coords(vec) -> dict:
         if not any(vec):
             return {}
-        combo = span.express({c: x for c, x in enumerate(vec) if x})
+        combo = span.express(sparse(vec))
         if combo is None:
             raise IntegrityError("subspace is not closed")
         return {i: c for i, c in combo.items() if c}
@@ -214,7 +215,7 @@ def _subalgebra(a: Algebra, basis: Sequence, labels: Sequence[str],
     sub = Algebra(dim=m, basis_labels=tuple(labels), table=table, unit=None)
     new_gens = []
     for g in gens:
-        cols = [coords(g.apply(v)) for v in basis]
+        cols = [coords(mat_apply(g.matrix, v)) for v in basis]
         mat = tuple(tuple(cols[j].get(i, ZERO) for j in range(m))
                     for i in range(m))
         new_gens.append(Derivation(name=g.name, matrix=mat))

@@ -8,8 +8,9 @@ of its rows, in the spirit of fraction-free Gaussian elimination, and
 returns the same pivots as rational elimination would.
 
 All pivot choices are deterministic: columns are cleared left to right,
-by the row with the fewest nonzeros in _eliminate and by the earliest
-inserted row in RowSpan. Same input, same pivots, same output.
+by the earliest inserted row in RowSpan. Same input, same pivots, same
+output. nullspace and solve read the reduced echelon form, which is
+unique for a span.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ def as_scalar(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r}")
+
+
+def sparse(v) -> dict:
+    """The nonzero coordinates of a dense vector, as {index: scalar}."""
+    return {i: x for i, x in enumerate(v) if x}
 
 
 class SparseMatrix:
@@ -76,37 +82,14 @@ def rank(m: SparseMatrix) -> int:
     return len(span)
 
 
-def _eliminate(rows: list[dict], ncols: int):
-    """Row echelon, returning (pivots, reduced rows).
-
-    pivots is a list of (col, row_index) in elimination order. Rows are
-    fully reduced (entries above and below pivots cleared) and pivot
-    entries normalized to 1. Deterministic: columns scanned left to
-    right, pivot row = fewest nonzeros then smallest index.
-    """
-    work = [dict(r) for r in rows]
-    pivots = []
-    used = set()
-    for col in range(ncols):
-        cand = [i for i in range(len(work)) if i not in used and col in work[i]]
-        if not cand:
-            continue
-        pi = min(cand, key=lambda i: (len(work[i]), i))
-        piv = work[pi][col]
-        work[pi] = {j: v / piv for j, v in work[pi].items()}
-        for i in range(len(work)):
-            if i != pi and col in work[i]:
-                f = work[i][col]
-                row = work[i]
-                for j, v in work[pi].items():
-                    nv = row.get(j, ZERO) - f * v
-                    if nv:
-                        row[j] = nv
-                    elif j in row:
-                        del row[j]
-        used.add(pi)
-        pivots.append((col, pi))
-    return pivots, work
+def reduced_echelon(rows: Iterable[dict]) -> dict:
+    """Reduced row echelon form of the span of the rows, as
+    {pivot column: row}; unique for the span, so it does not depend on
+    the order or the choice of the rows."""
+    span = RowSpan()
+    for row in rows:
+        span.insert({j: v for j, v in row.items() if v})
+    return span.reduced_rows()
 
 
 def nullspace(m: SparseMatrix) -> list[list[Fraction]]:
@@ -115,16 +98,15 @@ def nullspace(m: SparseMatrix) -> list[list[Fraction]]:
     One basis vector per free column, in increasing column order, with a
     1 in the free position. Exact and deterministic.
     """
-    pivots, work = _eliminate(m.rows, m.ncols)
-    piv_cols = {c: i for c, i in pivots}
+    rref = reduced_echelon(m.rows)
     basis = []
     for free in range(m.ncols):
-        if free in piv_cols:
+        if free in rref:
             continue
         vec = [ZERO] * m.ncols
         vec[free] = ONE
-        for c, i in pivots:
-            v = work[i].get(free, ZERO)
+        for c, row in rref.items():
+            v = row.get(free)
             if v:
                 vec[c] = -v
         basis.append(vec)
@@ -135,7 +117,7 @@ def solve(m: SparseMatrix, b: list) -> Optional[list[Fraction]]:
     """One exact solution of m x = b, or None if inconsistent.
 
     Free variables are set to zero, which fixes the returned solution
-    uniquely given the deterministic elimination.
+    uniquely: it is read off the reduced echelon form.
     """
     if len(b) != m.nrows:
         raise ValueError("rhs length mismatch")
@@ -147,13 +129,12 @@ def solve(m: SparseMatrix, b: list) -> Optional[list[Fraction]]:
         if v:
             row[bc] = v
         aug.append(row)
-    pivots, work = _eliminate(aug, m.ncols)
-    for r in work:
-        if r and set(r) == {bc}:
-            return None
+    rref = reduced_echelon(aug)
+    if bc in rref:
+        return None
     x = [ZERO] * m.ncols
-    for c, i in pivots:
-        x[c] = work[i].get(bc, ZERO)
+    for c, row in rref.items():
+        x[c] = row.get(bc, ZERO)
     # paranoia: residual check is cheap at our sizes
     for i, r in enumerate(m.rows):
         s = sum((v * x[j] for j, v in r.items()), ZERO)

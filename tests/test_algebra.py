@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from corpus import cells_algebra, random_split_algebra, truncated_poly
 from diffpi import (Algebra, AlgebraWithDerivations, Derivation,
                     InvariantViolation, NonSplit, builtin, check_l_stability,
                     direct_sum, inner_derivation, make_action, radical,
                     radical_powers, split_derivation, wedderburn)
+from diffpi.freediff import mat_apply
 
 F = Fraction
 Z = F(0)
@@ -54,8 +56,8 @@ def test_builtin_ut2eps_structure(ut2eps):
     assert ut2eps.action.lie_dim == 1
     assert not ut2eps.action.killing_nondegenerate
     eps = ut2eps.action.generators[0]
-    assert eps.apply(e12) == e12
-    assert eps.apply(e11) == vec(0, 0, 0)
+    assert mat_apply(eps.matrix, e12) == e12
+    assert mat_apply(eps.matrix, e11) == vec(0, 0, 0)
 
 
 def test_builtin_m2sl2_structure(m2sl2):
@@ -93,7 +95,7 @@ def test_inner_derivation_leibniz():
     d = inner_derivation(a, x)
     assert d.leibniz_witness(a) is None
     # inner derivations kill the element itself
-    assert d.apply(x) == (Z,) * 4
+    assert mat_apply(d.matrix, x) == (Z,) * 4
 
 
 def test_make_action_rejects_non_leibniz():
@@ -201,9 +203,9 @@ def test_split_derivation_outer_part():
     wd = wedderburn(a)
     x, dprime = split_derivation(a, wd, d)
     for b in wd.complement_basis:
-        assert dprime.apply(b) == (Z, Z)
+        assert mat_apply(dprime.matrix, b) == (Z, Z)
     t = a.basis_vector(1)
-    assert dprime.apply(t) == d.apply(t)
+    assert mat_apply(dprime.matrix, t) == mat_apply(d.matrix, t)
 
 
 def test_nonsplit_raises():
@@ -262,3 +264,45 @@ def test_corpus_algebras_are_valid():
 def test_cells_algebra_rejects_open_sets():
     with pytest.raises(ValueError):
         cells_algebra([(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)])
+
+
+@st.composite
+def sparse_table_and_operands(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    entry = st.builds(F, st.integers(-2, 2), st.integers(1, 3))
+    table = {}
+    for i in range(dim):
+        for j in range(dim):
+            prod = {k: x for k in range(dim) if (x := draw(entry))}
+            if prod and draw(st.booleans()):
+                table[(i, j)] = prod
+    u = tuple(draw(entry) for _ in range(dim))
+    v = tuple(draw(entry) for _ in range(dim))
+    return dim, table, u, v
+
+
+def dense_structure_product(dim, table, u, v):
+    """Reference: sum over every basis pair of u_i v_j e_i e_j."""
+    out = [Z] * dim
+    for i in range(dim):
+        for j in range(dim):
+            for k, w in table.get((i, j), {}).items():
+                out[k] += u[i] * v[j] * w
+    return out
+
+
+# e0 e0 = e0 and e1 e1 = -e0: (e0 + e1)^2 cancels to zero
+@example((2, {(0, 0): {0: F(1)}, (1, 1): {0: F(-1)}},
+          vec(1, 1), vec(1, 1)))
+@settings(max_examples=80, deadline=None)
+@given(sparse_table_and_operands())
+def test_product_matches_dense_structure_constants(case):
+    dim, table, u, v = case
+    a = Algebra(dim=dim, basis_labels=tuple(f"b{i}" for i in range(dim)),
+                table=table)
+    want = dense_structure_product(dim, table, u, v)
+    got = a.product({i: x for i, x in enumerate(u) if x},
+                    {j: x for j, x in enumerate(v) if x})
+    assert got == {k: x for k, x in enumerate(want) if x}
+    assert all(got.values())
+    assert a.multiply(u, v) == tuple(want)

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from diffpi import (BudgetExceeded, builtin, codim, codim_via_ideal,
                     evaluate, evaluation_cost, is_identity, operator_basis,
                     parse_diff_poly)
+from diffpi.linalg import RowSpan
 
 F = Fraction
 
@@ -42,6 +44,26 @@ def test_ordinary_only_coincides(ut2eps, ut2eps_ob):
     for n in (1, 2, 3):
         r = codim(ut2eps.algebra, ut2eps_ob, n, ordinary_only=True)
         assert r.c_n_L == r.c_n_ordinary == UT2EPS_C[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ordinary_only_matches_full_ordinary_quotient(m2sl2, m2sl2_ob, n,
+                                                      monkeypatch):
+    full = codim(m2sl2.algebra, m2sl2_ob, n)
+    inserts = []
+    insert = RowSpan.insert
+
+    def counted_insert(self, row, tag=None):
+        inserts.append(row)
+        return insert(self, row, tag)
+
+    monkeypatch.setattr(RowSpan, "insert", counted_insert)
+    r = codim(m2sl2.algebra, m2sl2_ob, n, ordinary_only=True)
+    # one insert per monomial: the ordinary span is not rebuilt
+    assert len(inserts) == factorial(n)
+    assert r.c_n_L == r.c_n_ordinary == full.c_n_ordinary
+    assert r.quotient_basis == r.ordinary_basis == full.ordinary_basis
+    assert r.quotient_rows == r.ordinary_rows == full.ordinary_rows
 
 
 def test_codim_rejects_degree_zero(ut2eps, ut2eps_ob):

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from corpus import random_split_algebra, truncated_poly
-from diffpi import (AlgebraWithDerivations, Derivation, NotPolynomialGrowth,
+from diffpi import (Algebra, AlgebraWithDerivations, Derivation,
+                    NotPolynomialGrowth,
                     block_sum_split, builtin, classify, codim,
                     detect_ut2_pattern, direct_sum, exponent, make_action,
                     operator_basis, wedderburn)
@@ -132,3 +134,38 @@ def test_exponent_ignores_action():
     # the structural exponent depends only on blocks and radical
     ut2 = builtin("UTk(2)")
     assert exponent(ut2.algebra) == exponent(builtin("UT2eps").algebra)
+
+
+def signed_permutation(a: Algebra, perm, signs) -> Algebra:
+    """The algebra on the basis f_i = signs[i] e_{perm[i]}."""
+    inv = {p: i for i, p in enumerate(perm)}
+    table = {}
+    for i, pi in enumerate(perm):
+        for j, pj in enumerate(perm):
+            prod = a.table.get((pi, pj))
+            if prod:
+                table[(i, j)] = {
+                    inv[k]: signs[i] * signs[j] * signs[inv[k]] * w
+                    for k, w in prod.items()}
+    unit = tuple(signs[i] * a.unit[p] for i, p in enumerate(perm))
+    labels = tuple(a.basis_labels[p] for p in perm)
+    return Algebra(dim=a.dim, basis_labels=labels, table=table, unit=unit)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_utk_structure_under_signed_permutation(k):
+    base = builtin(f"UTk({k})").algebra
+    rng = random.Random(k)
+    perm = list(range(base.dim))
+    rng.shuffle(perm)
+    a = signed_permutation(base, perm, [rng.choice((1, -1))
+                                        for _ in perm])
+    assert a.unit_witness() is None
+    wd = wedderburn(a)
+    assert exponent(a, wd) == k
+    assert len(wd.radical_basis) == k * (k - 1) // 2
+    assert wd.nilpotency_index == k
+    # J^i is spanned by the e_ab with b - a >= i, so J^i / J^(i+1) has
+    # dimension k - i
+    dims = [len(p) for p in wd.radical_power_bases] + [0]
+    assert [d - e for d, e in zip(dims, dims[1:])] == list(range(k - 1, 0, -1))

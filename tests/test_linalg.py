@@ -177,3 +177,50 @@ def test_rowspan_matches_rational_elimination(rows):
             for col, v in sparse[tag].items():
                 recon[col] = recon.get(col, F(0)) + coeff * v
         assert {k: v for k, v in recon.items() if v} == target
+
+
+def gauss_jordan(rows, ncols):
+    """Reference: reduced row echelon form by plain Fraction Gauss-Jordan
+    on dense rows, as {pivot column: row}."""
+    work = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        pr = next((i for i in range(top, len(work)) if work[i][col]), None)
+        if pr is None:
+            continue
+        work[top], work[pr] = work[pr], work[top]
+        inv = 1 / work[top][col]
+        work[top] = [v * inv for v in work[top]]
+        for i in range(len(work)):
+            if i != top and work[i][col]:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[top])]
+        pivots.append(col)
+    return {c: work[i] for i, c in enumerate(pivots)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(fraction, min_size=4, max_size=4), min_size=1,
+                max_size=6), st.data())
+def test_nullspace_and_solve_match_gauss_jordan(rows, data):
+    ncols = len(rows[0])
+    m = SparseMatrix.from_dense(rows)
+    rref = gauss_jordan(rows, ncols)
+    want = []
+    for free in (c for c in range(ncols) if c not in rref):
+        vec = [F(0)] * ncols
+        vec[free] = F(1)
+        for c, row in rref.items():
+            vec[c] = -row[free]
+        want.append(vec)
+    assert nullspace(m) == want
+    b = [data.draw(fraction) for _ in rows]
+    aug = gauss_jordan([r + [x] for r, x in zip(rows, b)], ncols + 1)
+    if ncols in aug:
+        assert solve(m, b) is None
+    else:
+        x = [F(0)] * ncols
+        for c, row in aug.items():
+            x[c] = row[ncols]
+        assert solve(m, b) == x
