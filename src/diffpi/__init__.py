@@ -12,7 +12,7 @@ from .characters import (CocharacterTable, cocharacter, cycle_type_class_size,
                          hook_dimension, irr_char, module_trace, partitions,
                          support_check, support_violations)
 from .codim import (DEFAULT_BUDGET, CodimResult, codim, codim_via_ideal,
-                    evaluate, evaluation_cost, is_identity)
+                    consequences_cost, evaluate, evaluation_cost, is_identity)
 from .errors import (BudgetExceeded, CapExceeded, DiffPiError,
                      DiffSyntaxError, IntegrityError, InvariantViolation,
                      NonIntegerMultiplicity, NonSplit, NotMultilinear,

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 from . import __version__
 from .algebra import (Algebra, AlgebraWithDerivations, Derivation, builtin,
                       make_action, split_derivation, wedderburn)
-from .codim import codim
+from .codim import codim, ensure_budget, ensure_consequences_budget
 from .characters import cocharacter
 from .errors import (BudgetExceeded, DiffPiError, DiffSyntaxError,
                      IntegrityError, InvariantViolation, NonSplit,
@@ -518,6 +518,10 @@ def cmd_consequences(args):
     awd = loaded.checked()
     ob = operator_basis(awd.algebra, awd.action)
     gens = _read_generators(args.gens, ob)
+    # both costs are checked before the closure runs
+    ensure_consequences_budget(gens, args.n, ob.k, args.budget)
+    if args.check:
+        ensure_budget(args.n, ob.k, awd.algebra.dim, args.budget)
     basis = consequences(gens, args.n, ob)
     space = factorial(args.n) * ob.k ** args.n
     warnings = []

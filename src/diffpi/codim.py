@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import factorial
+from math import comb, factorial
 from typing import Optional, Sequence
 
 from .algebra import Algebra
@@ -38,13 +38,29 @@ def evaluation_cost(n: int, k: int, dim: int) -> int:
     return factorial(n) * k ** n * dim ** (n + 1)
 
 
-def ensure_budget(n: int, k: int, dim: int, budget: Optional[int]) -> None:
+def consequences_cost(gens: Sequence[DiffPoly], n: int, k: int) -> int:
+    """Identity-order instance slots times monomial columns: a generator
+    of degree d has C(n+1, d+1)·k^n instances, each a row over n!·k^n
+    columns."""
+    slots = sum(comb(n + 1, g.n + 1) for g in gens) * k ** n
+    return slots * factorial(n) * k ** n
+
+
+def _charge(what: str, n: int, cost: int, budget: Optional[int]) -> None:
     budget = DEFAULT_BUDGET if budget is None else budget
-    cost = evaluation_cost(n, k, dim)
     if cost > budget:
         raise BudgetExceeded(
-            f"degree {n} evaluation costs {cost} units against a budget "
+            f"degree {n} {what} costs {cost} units against a budget "
             f"of {budget}", n=n, cost=cost, budget=budget)
+
+
+def ensure_budget(n: int, k: int, dim: int, budget: Optional[int]) -> None:
+    _charge("evaluation", n, evaluation_cost(n, k, dim), budget)
+
+
+def ensure_consequences_budget(gens: Sequence[DiffPoly], n: int, k: int,
+                               budget: Optional[int]) -> None:
+    _charge("consequence closure", n, consequences_cost(gens, n, k), budget)
 
 
 def _base_tensors(a: Algebra, ob: OperatorBasis, n: int) -> dict:
@@ -218,6 +234,6 @@ def codim_via_ideal(gens: Sequence[DiffPoly], ob: OperatorBasis, n: int,
     space of the generators and subtracts. Varieties with the same
     generators must make both routes agree.
     """
-    ensure_budget(n, ob.k, max(ob.dim, 1), budget)
+    ensure_consequences_budget(gens, n, ob.k, budget)
     ideal = consequences(gens, n, ob)
     return factorial(n) * ob.k ** n - len(ideal)

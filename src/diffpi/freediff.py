@@ -474,60 +474,57 @@ def _poly_row(p: DiffPoly, n: int, k: int) -> dict:
 
 
 def _substitution_instances(g: DiffPoly, n: int, ob: OperatorBasis):
-    """All degree-n consequences of g under monomial substitution and
-    outer multiplication.
+    """The identity-order degree-n consequences of g under monomial
+    substitution and outer multiplication.
 
-    Variables 0..n-1 are arranged in every order and cut into an
-    optional left factor, one nonempty block per variable of g, and an
-    optional right factor; every position takes every label. Block
-    substitution pushes the slot's operator word through the block by
-    the Leibniz rule.
+    Variables 0..n-1 in identity order are cut into an optional left
+    factor, one nonempty block per variable of g, and an optional right
+    factor; every position takes every label. Block substitution pushes
+    the slot's operator word through the block by the Leibniz rule.
+
+    Identity order; the S_n closure supplies the rest: the instance with
+    the variables in order s is sn_act(s, .) of the one yielded here
+    with the same cuts and labels.
     """
-    from itertools import combinations, permutations, product
+    from itertools import combinations, product
 
     d = g.n
     if d > n or g.is_zero():
         return
-    k = ob.k
-    for seq in permutations(range(n)):
-        for cuts in combinations(range(n + 1), d + 1):
-            left = seq[:cuts[0]]
-            blocks = [seq[cuts[i]:cuts[i + 1]] for i in range(d)]
-            right = seq[cuts[d]:]
-            for labels in product(range(k), repeat=n):
-                lab = {v: labels[i] for i, v in enumerate(seq)}
-                pre = tuple((v, lab[v]) for v in left)
-                post = tuple((v, lab[v]) for v in right)
-                block_pairs = [tuple((v, lab[v]) for v in blk)
-                               for blk in blocks]
-                out: dict[DiffMonomial, Fraction] = {}
-                for gm, gc in g.terms.items():
-                    # expand each slot: apply the slot word to its block
-                    choices = []
-                    for slot_pos in range(d):
-                        yvar = gm.perm[slot_pos]
-                        word = ob.words[gm.labels[slot_pos]]
-                        frag = {block_pairs[yvar]: ONE}
-                        for gen in reversed(word):
-                            frag = _frag_derive(gen, frag, ob)
-                        choices.append(sorted(frag.items()))
-                    stack = [(pre, gc, 0)]
-                    while stack:
-                        pairs, coeff, slot = stack.pop()
-                        if slot == d:
-                            full = pairs + post
-                            key = DiffMonomial(tuple(v for v, _ in full),
-                                               tuple(h for _, h in full))
-                            nc = out.get(key, ZERO) + coeff
-                            if nc:
-                                out[key] = nc
-                            elif key in out:
-                                del out[key]
-                            continue
-                        for frag, fc in choices[slot]:
-                            stack.append((pairs + frag, coeff * fc, slot + 1))
-                if out:
-                    yield DiffPoly(n, out)
+    for cuts in combinations(range(n + 1), d + 1):
+        for labels in product(range(ob.k), repeat=n):
+            cells = tuple(enumerate(labels))  # (variable, label) by position
+            pre = cells[:cuts[0]]
+            post = cells[cuts[d]:]
+            block_pairs = [cells[cuts[i]:cuts[i + 1]] for i in range(d)]
+            out: dict[DiffMonomial, Fraction] = {}
+            for gm, gc in g.terms.items():
+                # expand each slot: apply the slot word to its block
+                choices = []
+                for slot_pos in range(d):
+                    yvar = gm.perm[slot_pos]
+                    word = ob.words[gm.labels[slot_pos]]
+                    frag = {block_pairs[yvar]: ONE}
+                    for gen in reversed(word):
+                        frag = _frag_derive(gen, frag, ob)
+                    choices.append(sorted(frag.items()))
+                stack = [(pre, gc, 0)]
+                while stack:
+                    pairs, coeff, slot = stack.pop()
+                    if slot == d:
+                        full = pairs + post
+                        key = DiffMonomial(tuple(v for v, _ in full),
+                                           tuple(h for _, h in full))
+                        nc = out.get(key, ZERO) + coeff
+                        if nc:
+                            out[key] = nc
+                        elif key in out:
+                            del out[key]
+                        continue
+                    for frag, fc in choices[slot]:
+                        stack.append((pairs + frag, coeff * fc, slot + 1))
+            if out:
+                yield DiffPoly(n, out)
 
 
 def _frag_derive(gen: int, frag: dict, ob: OperatorBasis) -> dict:
@@ -549,10 +546,13 @@ def _frag_derive(gen: int, frag: dict, ob: OperatorBasis) -> dict:
 def consequences(gens: Sequence[DiffPoly], n: int, ob: OperatorBasis) -> list[DiffPoly]:
     """Basis of the degree-n multilinear consequences of the generators.
 
-    Span of all substitution and outer multiplication instances, closed
+    Span of the substitution and outer multiplication instances, closed
     under the symmetric group action and under the generating
-    derivations, iterated to a fixed point. Returned as reduced echelon
-    rows in monomial order.
+    derivations, iterated to a fixed point. Instances are built in
+    identity order; the S_n closure supplies the rest. Returned as the
+    reduced echelon basis of the span, sorted by pivot in monomial
+    order: it is unique for the span, so it depends only on the ideal,
+    not on the order or the scaling of the generators.
     """
     k = ob.k
     for g in gens:
@@ -578,7 +578,8 @@ def consequences(gens: Sequence[DiffPoly], n: int, ob: OperatorBasis) -> list[Di
         for sw in swaps:
             push(sn_act(sw, p))
     basis = []
-    for row in span.basis_rows():
+    rref = span.reduced_rows()
+    for row in (rref[c] for c in sorted(rref)):
         terms = {}
         for col, c in row.items():
             pr, lab = divmod(col, k ** n)

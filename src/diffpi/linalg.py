@@ -249,10 +249,6 @@ class RowSpan:
             return None
         return {k: -v for k, v in combo.items()}
 
-    def basis_rows(self) -> list[dict]:
-        """Echelon rows ordered by leading column."""
-        return [dict(self.pivots[c]) for c in sorted(self.pivots)]
-
     def reduced_rows(self) -> dict:
         """Reduced echelon basis {pivot column: row}: each row is 1 at its
         own pivot column and 0 at every other one, so a vector of the

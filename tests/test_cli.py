@@ -157,6 +157,34 @@ def test_consequences_cross_check(capsys, tmp_path):
     assert res["codim_check"] == {"c_n_L": 5, "agree": True}
 
 
+def test_consequences_budget(capsys, tmp_path):
+    g = tmp_path / "gens.txt"
+    g.write_text(UT2EPS_GENS_FILE)
+    # (C(4,3) + C(4,3) + C(4,2)) * 2**3 instances * 3! * 2**3 columns
+    code, out, err = run(capsys, "consequences", "UT2eps", "--gens", str(g),
+                         "--n", "3", "--budget", "1000")
+    assert code == 4
+    assert out == ""
+    assert "consequence closure costs 5376 units" in err
+    # the default budget admits n = 4 and refuses n = 6 before any work
+    code, rep, err = run_json(capsys, "consequences", "UT2eps",
+                              "--gens", str(g), "--n", "4")
+    assert code == 0
+    assert rep["results"]["ideal_dim"] == 351
+    code, out, err = run(capsys, "consequences", "UT2eps", "--gens", str(g),
+                         "--n", "6")
+    assert code == 4
+    assert "costs 268369920 units" in err
+    # n = 2: the closure costs 160 units, the --check evaluation 216
+    code, rep, err = run_json(capsys, "consequences", "UT2eps", "--gens",
+                              str(g), "--n", "2", "--budget", "200")
+    assert code == 0 and rep["results"]["ideal_dim"] == 3
+    code, out, err = run(capsys, "consequences", "UT2eps", "--gens", str(g),
+                         "--n", "2", "--budget", "200", "--check")
+    assert code == 4
+    assert "evaluation costs 216 units" in err
+
+
 def test_consequences_incomplete_generators_warn(capsys, tmp_path):
     g = tmp_path / "gens.txt"
     g.write_text("x1^eps*x2^eps\n")

@@ -3,8 +3,9 @@ from math import factorial
 
 import pytest
 
-from diffpi import (BudgetExceeded, builtin, codim, codim_via_ideal,
-                    evaluate, evaluation_cost, is_identity, operator_basis,
+from diffpi import (DEFAULT_BUDGET, BudgetExceeded, builtin, codim,
+                    codim_via_ideal, consequences_cost, evaluate,
+                    evaluation_cost, is_identity, operator_basis,
                     parse_diff_poly)
 from diffpi.linalg import RowSpan
 
@@ -103,6 +104,21 @@ def test_two_path_agreement_small(ut2eps, ut2eps_ob, ut2eps_gens, n):
     via_ideal = codim_via_ideal(ut2eps_gens, ut2eps_ob, n)
     direct = codim(ut2eps.algebra, ut2eps_ob, n).c_n_L
     assert via_ideal == direct == UT2EPS_C_L[n]
+
+
+def test_two_path_agreement_degree5(ut2eps, ut2eps_ob, ut2eps_gens):
+    via_ideal = codim_via_ideal(ut2eps_gens, ut2eps_ob, 5)
+    assert via_ideal == codim(ut2eps.algebra, ut2eps_ob, 5).c_n_L == 81
+
+
+def test_consequences_cost_under_default_budget(ut2eps_ob, ut2eps_gens):
+    cost = {n: consequences_cost(ut2eps_gens, n, ut2eps_ob.k)
+            for n in (4, 5, 6)}
+    assert cost == {4: 184320, 5: 6758400, 6: 268369920}
+    assert cost[5] <= DEFAULT_BUDGET < cost[6]
+    with pytest.raises(BudgetExceeded) as e:
+        codim_via_ideal(ut2eps_gens, ut2eps_ob, 6)
+    assert (e.value.n, e.value.cost) == (6, cost[6])
 
 
 def test_direct_sum_same_codim(ut2eps, ut2eps_ob):

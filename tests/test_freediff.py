@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import PARSER_CORPUS
 from diffpi import (CapExceeded, DiffPoly, DiffSyntaxError, NotMultilinear,
-                    UnknownOperator, builtin, consequences, derive_poly,
-                    format_diff_poly, operator_basis, parse_diff_poly,
-                    sn_act, validate_multilinear)
-from diffpi.freediff import DiffMonomial, apply_word, monomial_index, perm_rank
+                    UnknownOperator, builtin, codim, codim_via_ideal,
+                    consequences, derive_poly, format_diff_poly,
+                    operator_basis, parse_diff_poly, sn_act,
+                    validate_multilinear)
+from diffpi.freediff import (DiffMonomial, _poly_row, apply_word,
+                             monomial_index, perm_rank)
+from diffpi.linalg import RowSpan
 
 F = Fraction
 
@@ -163,8 +166,6 @@ def test_consequences_ut2eps_degree2(ut2eps_gens, ut2eps_ob):
 def test_consequences_closed_under_derive_and_swap(ut2eps_gens, ut2eps_ob):
     ob = ut2eps_ob
     basis = consequences(ut2eps_gens, 2, ob)
-    from diffpi.freediff import _poly_row
-    from diffpi.linalg import RowSpan
     span = RowSpan()
     for b in basis:
         span.insert(_poly_row(b, 2, ob.k))
@@ -174,10 +175,82 @@ def test_consequences_closed_under_derive_and_swap(ut2eps_gens, ut2eps_ob):
             assert not row or span.contains(row)
 
 
-def test_consequences_skips_generators_above_degree(ut2eps_gens, ut2eps_ob):
-    # only the degree-1 generator can act at n = 1
-    basis = consequences(ut2eps_gens, 1, ut2eps_ob)
-    assert isinstance(basis, list)
+def test_consequences_skips_generators_above_degree(ut2eps, ut2eps_gens,
+                                                   ut2eps_ob):
+    # only the degree-1 generator can act at n = 1, and x1^epseps - x1^eps
+    # is zero over the image alphabet: eps o eps = eps on UT2eps
+    assert consequences(ut2eps_gens, 1, ut2eps_ob) == []
+    assert (codim_via_ideal(ut2eps_gens, ut2eps_ob, 1)
+            == codim(ut2eps.algebra, ut2eps_ob, 1).c_n_L == 2)
+
+
+def _all_orders_consequences(gens, n, ob) -> dict:
+    """Reference route: the consequence span with every generator
+    substituted in all n! variable orders, built from DiffPoly products
+    and apply_word, then closed under the generating derivations and
+    adjacent swaps. Returns its reduced echelon basis {pivot: row}."""
+    from itertools import combinations, permutations, product
+    k = ob.k
+    span = RowSpan()
+    queue = []
+
+    def push(p):
+        row = _poly_row(p, n, k)
+        if row and span.insert(row):
+            queue.append(p)
+
+    for g in gens:
+        d = g.n
+        if d > n:
+            continue
+        for seq in permutations(range(n)):
+            for cuts in combinations(range(n + 1), d + 1):
+                for labels in product(range(k), repeat=n):
+                    def mono(lo, hi):
+                        return DiffPoly(n, {DiffMonomial(
+                            seq[lo:hi], labels[lo:hi]): F(1)})
+                    blocks = [mono(cuts[i], cuts[i + 1]) for i in range(d)]
+                    inst = DiffPoly(n)
+                    for gm, gc in g.terms.items():
+                        term = mono(0, cuts[0])
+                        for y, h in zip(gm.perm, gm.labels):
+                            term = term * apply_word(ob.words[h], blocks[y], ob)
+                        term = term * mono(cuts[d], n)
+                        inst = inst + term.scale(gc)
+                    push(inst)
+    swaps = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
+             for i in range(n - 1)]
+    while queue:
+        p = queue.pop()
+        for g in range(len(ob.gen_names)):
+            push(derive_poly(g, p, ob))
+        for sw in swaps:
+            push(sn_act(sw, p))
+    return span.reduced_rows()
+
+
+def _assert_matches_all_orders(gens, n, ob):
+    basis = consequences(gens, n, ob)
+    ref = _all_orders_consequences(gens, n, ob)
+    # same span, returned as its reduced echelon rows sorted by pivot
+    assert [_poly_row(b, n, ob.k) for b in basis] == [ref[c] for c in sorted(ref)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_consequences_match_all_orders_route(ut2eps_gens, ut2eps_ob, n):
+    _assert_matches_all_orders(ut2eps_gens, n, ut2eps_ob)
+
+
+def test_consequences_canonical_under_generator_order_and_scale(ut2eps_gens,
+                                                               ut2eps_ob):
+    ob = ut2eps_ob
+    reordered = [ut2eps_gens[1], ut2eps_gens[0], ut2eps_gens[2]]
+    rescaled = [g.scale(F(c)) for g, c in zip(ut2eps_gens, (-3, 2, 5))]
+    for n in (3, 4):
+        texts = [[format_diff_poly(b, ob) for b in consequences(gens, n, ob)]
+                 for gens in (ut2eps_gens, reordered, rescaled)]
+        assert texts[0] == texts[1] == texts[2]
+        assert len(texts[0]) == {3: 35, 4: 351}[n]
 
 
 def test_format_zero_poly(ut2eps_ob):
@@ -213,3 +286,11 @@ def test_roundtrip_random(ut2eps_ob, text):
     out = format_diff_poly(p, ut2eps_ob)
     q = parse_diff_poly(out, ut2eps_ob)
     assert q.terms == p.terms and q.n == p.n
+
+
+@settings(max_examples=25, deadline=None)
+@given(texts=st.lists(random_poly_text(), min_size=1, max_size=3),
+       n=st.integers(min_value=1, max_value=3))
+def test_consequences_match_all_orders_route_random(ut2eps_ob, texts, n):
+    gens = [parse_diff_poly(t, ut2eps_ob) for t in texts]
+    _assert_matches_all_orders(gens, n, ut2eps_ob)
