@@ -3,18 +3,19 @@
 Irreducible characters come from the Murnaghan Nakayama rule on beta
 sets. Multiplicities of the quotient module are recovered from exact
 traces of one representative permutation per cycle type. Evaluation is
-S_n-equivariant, so the row of g.m is the row of m that codim() already
-computed, with its input-tuple columns relabelled by g; no monomial is
-evaluated twice. The trace of g is read off the relabelled rows of the
-reduced echelon basis of the quotient rows, in which a row's
-coordinates are its pivot entries. Everything is exact; a multiplicity
-that fails to be a non-negative integer aborts loudly.
+S_n-equivariant, so the row of g.m is the row of m with the digits of
+its input-tuple columns permuted by g (permuted_row); codim() closes its
+span under the adjacent swaps this way, and the traces act on the rows
+it returns the same way, so nothing is evaluated twice. The trace of g
+is read off the moved rows of the reduced echelon basis of the quotient
+rows, in which a row's coordinates are its pivot entries. Everything is
+exact; a multiplicity that fails to be a non-negative integer aborts
+loudly.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from math import factorial
 from typing import NamedTuple, Optional, Sequence
 
@@ -110,29 +111,23 @@ def representative(mu: Partition, n: int) -> tuple:
     return tuple(perm)
 
 
-def column_relabelling(g: tuple, dim: int) -> list:
-    """Input-tuple index map of g: tuple s goes to t with t[g[v]] = s[v].
+def permuted_row(row: dict, g: tuple, n: int, dim: int) -> dict:
+    """Row of g.m from the row of m, at degree n.
 
-    g.m evaluated at the tuple t has the value of m at the tuple s, so
-    row(g.m) is row(m) with column (s, c) moved to (t, c).
+    g.m at the input tuple t has the value of m at the tuple s with
+    t[g[v]] = s[v], so column (s, c) moves to (t, c): digit v of the
+    column index moves from place dim^(n-v) to place dim^(n-g[v]). Only
+    the digits g moves are read, and only at the row's nonzero columns.
     """
-    n = len(g)
-    out = []
-    for s in product(range(dim), repeat=n):
-        t = [0] * n
-        for v in range(n):
-            t[g[v]] = s[v]
-        t_idx = 0
-        for x in t:
-            t_idx = t_idx * dim + x
-        out.append(t_idx)
+    moved = [(dim ** (n - v), dim ** (n - g[v]) - dim ** (n - v))
+             for v in range(n) if g[v] != v]
+    out = {}
+    for col, x in row.items():
+        new = col
+        for p, d in moved:
+            new += col // p % dim * d
+        out[new] = x
     return out
-
-
-def permuted_row(row: dict, relabel: Sequence[int], dim: int) -> dict:
-    """Row of g.m from the row of m, with relabel = column_relabelling(g)."""
-    return {relabel[col // dim] * dim + col % dim: v
-            for col, v in row.items()}
 
 
 def module_trace(dim: int, n: int, rows: Sequence[dict]) -> dict:
@@ -153,10 +148,10 @@ def module_trace(dim: int, n: int, rows: Sequence[dict]) -> dict:
     basis = span.reduced_rows()
     out = {}
     for mu in partitions(n):
-        relabel = column_relabelling(representative(mu, n), dim)
+        g = representative(mu, n)
         tr = ZERO
         for c, b in basis.items():
-            moved = permuted_row(b, relabel, dim)
+            moved = permuted_row(b, g, n, dim)
             if not span.contains(moved):
                 raise IntegrityError("permuted row escaped the quotient "
                                      "span; evaluation is not equivariant")
@@ -205,22 +200,40 @@ def _multiplicities(n: int, traces: dict) -> dict:
     return out
 
 
+def multiplicity_rows(n: int, traces: dict, traces_ord: dict) -> tuple:
+    """(lambda, m_L, m_ordinary) per partition from the two trace tables.
+
+    The ordinary quotient is an S_n-submodule of the differential one,
+    so m_ordinary <= m_L must hold for every lambda.
+    """
+    m_L = _multiplicities(n, traces)
+    m_ord = _multiplicities(n, traces_ord)
+    for lam in partitions(n):
+        if m_ord[lam] > m_L[lam]:
+            raise IntegrityError(
+                f"ordinary multiplicity {m_ord[lam]} of {lam} exceeds the "
+                f"differential one {m_L[lam]}; the ordinary quotient is not "
+                f"a submodule of the differential quotient")
+    return tuple((lam, m_L[lam], m_ord[lam]) for lam in partitions(n))
+
+
 def cocharacter(a: Algebra, ob: OperatorBasis, n: int,
                 budget: Optional[int] = None) -> CocharacterTable:
     """Cocharacter decomposition at degree n, with the ordinary one."""
     full = codim(a, ob, n, budget=budget)
     traces = module_trace(a.dim, n, full.quotient_rows)
     traces_ord = module_trace(a.dim, n, full.ordinary_rows)
-    m_L = _multiplicities(n, traces)
-    m_ord = _multiplicities(n, traces_ord)
-    rows = tuple((lam, m_L[lam], m_ord[lam]) for lam in partitions(n))
+    rows = multiplicity_rows(n, traces, traces_ord)
+    # c_n is the identity trace, and by column orthogonality the
+    # multiplicities rebuild the identity trace for any traces: these
+    # two checks test irr_char, not the codimension
     if sum(m * irr_char(lam, tuple([1] * n)) for lam, m, _ in rows) != full.c_n_L:
         raise IntegrityError("differential multiplicities do not rebuild "
-                             "the codimension")
+                             "the identity trace; irr_char is inconsistent")
     if sum(mo * irr_char(lam, tuple([1] * n)) for lam, _, mo in rows) \
             != full.c_n_ordinary:
         raise IntegrityError("ordinary multiplicities do not rebuild the "
-                             "codimension")
+                             "identity trace; irr_char is inconsistent")
     return CocharacterTable(
         n=n, rows=rows,
         colength=sum(m for _, m, _ in rows),

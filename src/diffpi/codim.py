@@ -2,26 +2,29 @@
 
 The degree-n multilinear space maps into functions (basis tuples -> A)
 by substituting basis vectors for variables; the codimension is the rank
-of that evaluation. Rows are indexed by monomials in their canonical
-order, columns by (input tuple, output coordinate). The quotient basis
-is the set of monomials whose rows extend the span, scanned in monomial
-order, so it is a canonical choice of coset representatives.
+of that evaluation. Columns are indexed by (input tuple, output
+coordinate).
 
-A single product over each label vector and unordered input tuple is
-computed once; permuted monomials reuse it with relocated columns. That
-keeps the work at O(k^n dim^n) algebra products instead of n! times
-that.
+The image is built without evaluating every monomial. Rows of the
+identity-order monomials x_1^{h_1} ... x_n^{h_n} span
+W_n = mu(W_{n-1} (x) E): the row of w * x_n^h at (t, b) is the value of
+w at t times op_h(e_b), one Algebra.product per block. A basis of
+W_{n-1} times each operator therefore spans W_n. Evaluation is
+S_n-equivariant and the identity-order monomials reach every monomial
+under S_n, so the image is the closure of W_n under the n-1 adjacent
+swaps of the input tuple; a swap only relabels a row's columns. c_n^L is
+the dimension of that closure, and c_n the dimension of the closure of
+the one identity-label row.
 
-codim() is the one evaluation pass per degree: it returns the rows of
-the differential and of the ordinary quotient basis, and the module
-traces of characters.py get every permuted row from these by moving
-columns, never by evaluating again.
+codim() is the one evaluation pass per degree: it returns basis rows of
+both closures, and the module traces of characters.py act on these by
+moving columns, never by evaluating again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 from math import comb, factorial
 from typing import Optional, Sequence
 
@@ -29,7 +32,7 @@ from .algebra import Algebra
 from .errors import BudgetExceeded, NotMultilinear
 from .freediff import (DiffMonomial, DiffPoly, OperatorBasis, consequences,
                        mat_apply, validate_multilinear)
-from .linalg import ONE, ZERO, RowSpan, sparse
+from .linalg import ZERO, RowSpan, sparse
 
 DEFAULT_BUDGET = 100_776_960  # 6! * 2**6 * 3**7, the reference workload
 
@@ -61,35 +64,6 @@ def ensure_budget(n: int, k: int, dim: int, budget: Optional[int]) -> None:
 def ensure_consequences_budget(gens: Sequence[DiffPoly], n: int, k: int,
                                budget: Optional[int]) -> None:
     _charge("consequence closure", n, consequences_cost(gens, n, k), budget)
-
-
-def _base_tensors(a: Algebra, ob: OperatorBasis, n: int) -> dict:
-    """For each label vector h, the nonzero products
-    ops[h_0](e_{u_0}) ... ops[h_{n-1}](e_{u_{n-1}}) over unordered input
-    tuples u, pruned as soon as a prefix product vanishes.
-
-    Returns {h: list of (u, coords)}, coords a sparse vector.
-    """
-    dim, k = a.dim, ob.k
-    images = [[sparse(mat_apply(op, a.basis_vector(i))) for i in range(dim)]
-              for op in ob.ops]
-    out = {}
-    for h in product(range(k), repeat=n):
-        rows = []
-
-        def walk(p: int, u: tuple, vec: dict):
-            if p == n:
-                rows.append((u, vec))
-                return
-            for b in range(dim):
-                img = images[h[p]][b]
-                nxt = img if p == 0 else a.product(vec, img)
-                if nxt:
-                    walk(p + 1, u + (b,), nxt)
-
-        walk(0, (), None)
-        out[h] = rows
-    return out
 
 
 def monomial_row(a: Algebra, ob: OperatorBasis, m: DiffMonomial) -> dict:
@@ -131,10 +105,51 @@ class CodimResult:
     n: int
     c_n_L: int
     c_n_ordinary: int
-    quotient_basis: tuple  # DiffMonomial rows that extend the span
-    quotient_rows: tuple   # evaluation row of each quotient monomial
-    ordinary_basis: tuple  # identity-label monomials extending their span
-    ordinary_rows: tuple
+    quotient_rows: tuple   # evaluation rows, a basis of the image
+    ordinary_rows: tuple   # the same for identity labels only
+
+
+def _prefix_rows(a: Algebra, images: list, rows: Optional[list]):
+    """Row of w * x^h for each row w of degree j (None: j = 0) and each
+    label's image table images[h][b] = op_h(e_b), in degree j + 1."""
+    dim = a.dim
+    if rows is None:
+        for imgs in images:
+            yield {b * dim + c: v for b, img in enumerate(imgs)
+                   for c, v in img.items()}
+        return
+    for row in rows:
+        blocks: dict = {}
+        for col, v in row.items():
+            t, c = divmod(col, dim)
+            blocks.setdefault(t, {})[c] = v
+        for imgs in images:
+            out = {}
+            for t, vec in blocks.items():
+                for b, img in enumerate(imgs):
+                    for c, v in a.product(vec, img).items():
+                        out[(t * dim + b) * dim + c] = v
+            yield out
+
+
+def _closure_rows(a: Algebra, images: list, n: int) -> list:
+    """Basis rows of the S_n-closure of the identity-order span at
+    degree n, for the labels whose image tables are given."""
+    from .characters import permuted_row  # characters imports codim
+    rows = None
+    for _ in range(n):
+        span = RowSpan()
+        rows = [r for r in _prefix_rows(a, images, rows) if span.insert(r)]
+    swaps = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
+             for i in range(n - 1)]
+    # span holds W_n; every accepted row goes through every swap, and
+    # rows accepted on the way join the list being walked
+    for row in rows:
+        for g in swaps:
+            moved = permuted_row(row, g, n, a.dim)
+            if span.insert(moved):
+                rows.append(moved)
+    return rows
 
 
 def codim(a: Algebra, ob: OperatorBasis, n: int,
@@ -142,55 +157,22 @@ def codim(a: Algebra, ob: OperatorBasis, n: int,
           budget: Optional[int] = None) -> CodimResult:
     """Differential and ordinary codimension at degree n.
 
-    With ordinary_only=True only identity labels are evaluated and both
-    reported numbers coincide; the quotient basis then spans the
-    ordinary multilinear quotient. Either way the ordinary basis holds
-    the identity-label monomials that extend the ordinary span.
+    With ordinary_only=True only the identity label is evaluated and
+    both reported numbers are the ordinary codimension.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
-    k = 1 if ordinary_only else ob.k
-    ensure_budget(n, k, a.dim, budget)
-    dim = a.dim
-    tensors = _base_tensors(a, ob, n) if not ordinary_only else \
-        _base_tensors(a, _identity_only(ob), n)
-    span = RowSpan()
-    ordinary_span = RowSpan()
-    quotient, quotient_rows = [], []
-    ordinary, ordinary_rows = [], []
-    idty = tuple([0] * n)
-    for sigma in permutations(range(n)):
-        for h in product(range(k), repeat=n):
-            row = {}
-            for u, entries in tensors[h]:
-                t = [0] * n
-                for p in range(n):
-                    t[sigma[p]] = u[p]
-                t_idx = 0
-                for x in t:
-                    t_idx = t_idx * dim + x
-                for c, v in entries.items():
-                    row[t_idx * dim + c] = v
-            if span.insert(row):
-                quotient.append(DiffMonomial(sigma, h))
-                quotient_rows.append(row)
-            if not ordinary_only and h == idty and ordinary_span.insert(row):
-                ordinary.append(DiffMonomial(sigma, h))
-                ordinary_rows.append(row)
-    if ordinary_only:  # k = 1: both spans would take the same rows in order
-        ordinary, ordinary_rows = quotient, quotient_rows
+    ensure_budget(n, 1 if ordinary_only else ob.k, a.dim, budget)
+    ops = ob.ops[:1] if ordinary_only else ob.ops
+    images = [[sparse(mat_apply(op, a.basis_vector(b))) for b in range(a.dim)]
+              for op in ops]
+    ordinary = _closure_rows(a, images[:1], n)
+    # with one label (ordinary_only, or a trivial action) they coincide
+    quotient = ordinary if len(images) == 1 else _closure_rows(a, images, n)
     return CodimResult(n=n, c_n_L=len(quotient),
                        c_n_ordinary=len(ordinary),
-                       quotient_basis=tuple(quotient),
-                       quotient_rows=tuple(quotient_rows),
-                       ordinary_basis=tuple(ordinary),
-                       ordinary_rows=tuple(ordinary_rows))
-
-
-def _identity_only(ob: OperatorBasis) -> OperatorBasis:
-    return OperatorBasis(dim=ob.dim, gen_names=(), ops=(ob.ops[0],),
-                         words=((),), product_table={(0, 0): {0: ONE}},
-                         gen_action=())
+                       quotient_rows=tuple(quotient),
+                       ordinary_rows=tuple(ordinary))
 
 
 def evaluate(p: DiffPoly, args: Sequence, a: Algebra,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import NamedTuple, Optional, Sequence
 
@@ -449,8 +450,9 @@ def format_diff_poly(p: DiffPoly, ob: OperatorBasis) -> str:
     return " ".join(parts)
 
 
-def perm_rank(perm: Sequence[int]) -> int:
-    """Lexicographic rank of a permutation of 0..n-1."""
+@lru_cache(maxsize=None)
+def perm_rank(perm: tuple) -> int:
+    """Lexicographic rank of a permutation of 0..n-1 (cached: n! orders)."""
     n = len(perm)
     rank_ = 0
     rest = list(range(n))

@@ -7,11 +7,12 @@ from diffpi import (DiffMonomial, builtin, cocharacter, codim,
                     cycle_type_class_size, hook_dimension, irr_char,
                     module_trace, operator_basis, partitions, support_check,
                     support_violations)
-from diffpi.characters import (column_relabelling, permuted_row,
+from diffpi.characters import (multiplicity_rows, permuted_row,
                                representative)
 from diffpi.codim import monomial_row
 from diffpi.errors import IntegrityError
-from diffpi.linalg import RowSpan
+from diffpi.linalg import RowSpan, reduced_echelon
+from test_codim import greedy_quotient
 
 F = Fraction
 
@@ -92,21 +93,22 @@ def test_module_trace_identity_class(ut2eps, ut2eps_ob):
 
 @pytest.mark.parametrize("name,max_n", [("UT2eps", 4), ("M2sl2", 2)])
 def test_relabelled_rows_match_fresh_evaluation(name, max_n):
-    # the traces never evaluate a moved monomial; this is the
-    # independent check that relabelling columns is that evaluation
+    # the closure in codim() and the traces never evaluate a moved
+    # monomial; this is the independent check that moving the digits of
+    # the columns is that evaluation, on a monomial basis of the quotient
     awd = builtin(name)
     a = awd.algebra
     ob = operator_basis(a, awd.action)
     for n in range(1, max_n + 1):
-        r = codim(a, ob, n)
+        basis = greedy_quotient(a, ob, n)
+        assert len(basis) == codim(a, ob, n).c_n_L
         for mu in partitions(n):
             g = representative(mu, n)
-            relabel = column_relabelling(g, a.dim)
-            for mono, row in zip(r.quotient_basis, r.quotient_rows):
+            for mono, row in basis:
                 assert row == monomial_row(a, ob, mono)
                 moved = DiffMonomial(tuple(g[v] for v in mono.perm),
                                      mono.labels)
-                assert permuted_row(row, relabel, a.dim) \
+                assert permuted_row(row, g, n, a.dim) \
                     == monomial_row(a, ob, moved)
 
 
@@ -118,10 +120,9 @@ def test_full_codim_ordinary_basis(name, max_n):
     for n in range(1, max_n + 1):
         r = codim(a, ob, n)
         o = codim(a, ob, n, ordinary_only=True)
-        assert r.ordinary_basis == o.quotient_basis
-        assert r.ordinary_rows == o.quotient_rows
-        assert len(r.ordinary_basis) == r.c_n_ordinary
-
+        assert reduced_echelon(r.ordinary_rows) \
+            == reduced_echelon(o.quotient_rows)
+        assert len(r.ordinary_rows) == r.c_n_ordinary == o.c_n_L
 
 
 @pytest.mark.parametrize("name,max_n", [("UT2eps", 4), ("M2sl2", 2)])
@@ -138,20 +139,33 @@ def test_module_trace_matches_expression_in_quotient_rows(name, max_n):
             assert span.insert(row, tag=i)
         want = {}
         for mu in partitions(n):
-            relabel = column_relabelling(representative(mu, n), a.dim)
-            want[mu] = sum(span.express(permuted_row(row, relabel, a.dim))
+            g = representative(mu, n)
+            want[mu] = sum(span.express(permuted_row(row, g, n, a.dim))
                            .get(i, 0) for i, row in enumerate(rows))
         assert module_trace(a.dim, n, rows) == want
 
 
 def test_module_trace_rejects_rows_that_are_not_a_module(ut2eps, ut2eps_ob):
     r = codim(ut2eps.algebra, ut2eps_ob, 2)
-    moved = permuted_row(r.quotient_rows[0],
-                         column_relabelling((1, 0), ut2eps.algebra.dim),
-                         ut2eps.algebra.dim)
+    moved = permuted_row(r.quotient_rows[0], (1, 0), 2, ut2eps.algebra.dim)
     assert moved != r.quotient_rows[0]
     with pytest.raises(IntegrityError, match="escaped"):
         module_trace(ut2eps.algebra.dim, 2, r.quotient_rows[:1])
+
+
+def test_nested_multiplicities_check_rejects_swapped_traces(ut2eps,
+                                                            ut2eps_ob):
+    # the ordinary quotient is a submodule of the differential one, so
+    # m_ordinary <= m_L; swapping the two trace tables breaks that
+    n = 3
+    r = codim(ut2eps.algebra, ut2eps_ob, n)
+    traces = module_trace(ut2eps.algebra.dim, n, r.quotient_rows)
+    traces_ord = module_trace(ut2eps.algebra.dim, n, r.ordinary_rows)
+    rows = multiplicity_rows(n, traces, traces_ord)
+    assert rows == cocharacter(ut2eps.algebra, ut2eps_ob, n).rows
+    with pytest.raises(IntegrityError, match="submodule"):
+        multiplicity_rows(n, traces_ord, traces)
+
 
 def test_cocharacter_ut2eps_n2(ut2eps, ut2eps_ob):
     t = cocharacter(ut2eps.algebra, ut2eps_ob, 2)
