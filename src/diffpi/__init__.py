@@ -23,6 +23,6 @@ from .freediff import (DiffMonomial, DiffPoly, OperatorBasis, apply_word,
                        validate_multilinear)
 from .growth import (GrowthReport, block_sum_split, classify,
                      detect_ut2_pattern, exponent)
-from .linalg import RowSpan, Scalar, SparseMatrix, nullspace, rank, solve
+from .linalg import RowSpan, Scalar, coordinates, nullspace, solve
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,14 +23,14 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (IntegrityError, InvariantViolation, NonSplit,
                      UnknownBuiltin)
-from .freediff import _mat_flat, mat_apply
-from .linalg import (ONE, ZERO, RowSpan, SparseMatrix, as_scalar,
-                     nullspace, reduced_echelon, solve, sparse)
+from .freediff import _mat_flat, mat_apply, mat_identity
+from .linalg import (ONE, ZERO, RowSpan, as_scalar, coordinates, nullspace,
+                     reduced_echelon, solve, sparse)
 
 Vector = tuple
 
@@ -189,21 +189,19 @@ def make_action(a: Algebra, gens: Sequence[Derivation]) -> DerivationAction:
     # Killing form on the closed Lie algebra
     nondeg = True
     if basis:
-        tracked = RowSpan(track=True)
-        for i, b in enumerate(basis):
-            tracked.insert(_mat_flat(b), tag=i)
+        coords = coordinates([_mat_flat(b) for b in basis])
         ad = []
         for b in basis:
             rows = []
             for c in basis:
-                combo = tracked.express(_mat_flat(_commutator(b, c))) or {}
+                combo = coords(_mat_flat(_commutator(b, c))) or {}
                 rows.append([combo.get(i, ZERO) for i in range(len(basis))])
             # column j of ad_b = coords of [b, basis_j]
             ad.append(tuple(tuple(rows[j][i] for j in range(len(basis)))
                             for i in range(len(basis))))
         gram = [[_matprod_trace(ad[i], ad[j]) for j in range(len(basis))]
                 for i in range(len(basis))]
-        nondeg = (len(nullspace(SparseMatrix.from_dense(gram))) == 0)
+        nondeg = (len(nullspace(gram)) == 0)
     return DerivationAction(generators=tuple(gens), lie_basis=tuple(basis),
                             killing_nondegenerate=nondeg)
 
@@ -250,7 +248,7 @@ def radical(a: Algebra) -> list[Vector]:
             row.append(sum((v * t[k] for k, v in prod.items()), ZERO))
         rows.append(row)
     rows.append(list(t))
-    basis = nullspace(SparseMatrix.from_dense(rows))
+    basis = nullspace(rows)
     return [tuple(v) for v in basis]
 
 
@@ -341,7 +339,7 @@ def _subspace_center(q: Algebra, piece: Sequence[Vector]) -> list[Vector]:
                 for b in piece]
         for c in range(q.dim):
             rows.append([w[c] for w in comm])
-    ns = nullspace(SparseMatrix.from_dense(rows)) if rows else []
+    ns = nullspace(rows)
     out = []
     for coeffs in ns:
         vec = [ZERO] * q.dim
@@ -354,36 +352,23 @@ def _subspace_center(q: Algebra, piece: Sequence[Vector]) -> list[Vector]:
 
 
 def _minpoly(mat: list[list[Fraction]]) -> list[Fraction]:
-    """Monic minimal polynomial coefficients [c0..cm](, leading 1 implied).
-
-    Returned as the full list [c0, c1, ..., c_{d-1}] with the convention
-    t^d = sum c_i t^i, i.e. minpoly = t^d - sum c_i t^i... inverted to
-    standard form by the caller.
+    """Minimal polynomial of a nonempty square matrix M, as the list
+    [c_0, ..., c_{d-1}] with M^d = sum c_i M^i, d the degree: the
+    polynomial is t^d - sum c_i t^i, the form that _rational_roots and
+    _fully_splits read.
     """
     n = len(mat)
-    ident = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    span = RowSpan(track=True)
-    powers = [ident]
-    flat = {i * n + j: ident[i][j] for i in range(n) for j in range(n)
-            if ident[i][j]}
-    span.insert(flat, tag=0)
-    k = 0
-    while True:
-        k += 1
-        prev = powers[-1]
-        nxt = [[sum((mat[i][l] * prev[l][j] for l in range(n)), ZERO)
-                for j in range(n)] for i in range(n)]
-        powers.append(nxt)
-        flat = {i * n + j: nxt[i][j] for i in range(n) for j in range(n)
-                if nxt[i][j]}
-        if not flat:
-            combo = {}
-        else:
-            combo = span.express(flat)
-            if combo is None:
-                span.insert(flat, tag=k)
-                continue
-        return [combo.get(i, ZERO) for i in range(k)]
+    powers = [_mat_flat(mat_identity(n))]
+    span = RowSpan()
+    span.insert(powers[0])
+    power, flat = mat, _mat_flat(mat)
+    while span.insert(flat):
+        powers.append(flat)
+        power = [[sum((mat[i][l] * power[l][j] for l in range(n)), ZERO)
+                  for j in range(n)] for i in range(n)]
+        flat = _mat_flat(power)
+    combo = coordinates(powers)(flat)
+    return [combo.get(i, ZERO) for i in range(len(powers))]
 
 
 def _poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
@@ -458,9 +443,7 @@ def _split_blocks(q: Algebra, rng: random.Random) -> list[list[Vector]]:
         center = _subspace_center(q, piece)
         if len(center) <= 1:
             return [piece]
-        tracked = RowSpan(track=True)
-        for i, z in enumerate(center):
-            tracked.insert(sparse(z), tag=i)
+        coords = coordinates([sparse(z) for z in center])
         candidates = list(center)
         budget = 8
         tried = 0
@@ -477,7 +460,7 @@ def _split_blocks(q: Algebra, rng: random.Random) -> list[list[Vector]]:
             ok = True
             for c in center:
                 img = q.multiply(z, c)
-                combo = tracked.express(sparse(img)) if any(img) else {}
+                combo = coords(sparse(img))
                 if combo is None:
                     raise IntegrityError("center not closed under product")
                 mat.append([combo.get(i, ZERO) for i in range(len(center))])
@@ -494,7 +477,7 @@ def _split_blocks(q: Algebra, rng: random.Random) -> list[list[Vector]]:
                 rows = []
                 for c in range(q.dim):
                     rows.append([w[c] - r * b[c] for w, b in zip(zp, piece)])
-                ns = nullspace(SparseMatrix.from_dense(rows))
+                ns = nullspace(rows)
                 sub = []
                 for coeffs in ns:
                     vec = [ZERO] * q.dim
@@ -534,7 +517,7 @@ def _block_unit(q: Algebra, block: list[Vector]) -> Vector:
             rhs.append(b[c])
             rows.append([right[i][c] for i in range(m)])
             rhs.append(b[c])
-    sol = solve(SparseMatrix.from_dense(rows), rhs)
+    sol = solve(rows, rhs)
     if sol is None:
         raise IntegrityError("block has no unit; split produced a non-ideal")
     vec = [ZERO] * q.dim
@@ -586,20 +569,18 @@ def _lift_section(a: Algebra, q: Algebra, reps: list[int],
             return sec
         jk = jpowers[k - 1]
         jk1 = jpowers[k] if k < len(jpowers) else []
-        span_k = RowSpan(track=True)
-        for i, v in enumerate(jk1):
-            span_k.insert(sparse(v), tag=("low", i))
-        lifts = []
-        for i, v in enumerate(jk):
-            if span_k.insert(sparse(v), tag=("hi", len(lifts))):
-                lifts.append(v)
-        T = len(lifts)
+        span_k = RowSpan()
+        for v in jk1:
+            span_k.insert(sparse(v))
+        lifts = [v for v in jk if span_k.insert(sparse(v))]
+        T, low = len(lifts), len(jk1)
+        coords = coordinates([sparse(v) for v in jk1 + lifts])
 
         def pi(vec: Sequence) -> list[Fraction]:
-            combo = span_k.express(sparse(vec)) if any(vec) else {}
+            combo = coords(sparse(vec))
             if combo is None:
                 raise IntegrityError("defect escaped the radical filtration")
-            return [combo.get(("hi", t), ZERO) for t in range(T)]
+            return [combo.get(low + t, ZERO) for t in range(T)]
 
         # unknowns G[gamma][t]; g(x_gamma) = sum_t G[gamma][t] lifts[t]
         right_mul = [[pi(a.multiply(lifts[t], sec[be])) for be in range(m)]
@@ -622,7 +603,7 @@ def _lift_section(a: Algebra, q: Algebra, reps: list[int],
                         row[be * T + t] -= left_mul[al][t][c]
                     rows.append(row)
                     rhs.append(-pd[c])
-        sol = solve(SparseMatrix.from_dense(rows), rhs)
+        sol = solve(rows, rhs)
         if sol is None:
             raise IntegrityError("section correction system inconsistent; "
                                  "quotient is not separable")
@@ -667,7 +648,6 @@ def wedderburn(a: Algebra, seed: int = 0) -> WedderburnData:
     units_q = [units_q[i] for i in order]
     dims = []
     for b in blocks_q:
-        from math import isqrt
         n = isqrt(len(b))
         if n * n != len(b):
             raise NonSplit(f"simple block of dimension {len(b)} is not a "
@@ -742,17 +722,15 @@ def split_derivation(a: Algebra, wd: WedderburnData, d: Derivation):
 
     full_targets = [a.basis_vector(i) for i in range(a.dim)]
     rows, rhs = ad_rows(full_targets)
-    m = SparseMatrix.from_dense(rows)
-    sol = solve(m, rhs)
+    sol = solve(rows, rhs)
     if sol is None:
         rows, rhs = ad_rows(list(wd.complement_basis))
-        m = SparseMatrix.from_dense(rows)
-        sol = solve(m, rhs)
+        sol = solve(rows, rhs)
         if sol is None:
             raise IntegrityError(
                 "derivation cannot be made inner on the complement; "
                 "input data violates the splitting theorem")
-    x = _canonical_coset(sol, nullspace(m))
+    x = _canonical_coset(sol, nullspace(rows))
     inner = inner_derivation(a, x, name=f"ad_{d.name}")
     residu = tuple(tuple(p - q for p, q in zip(dr, ir))
                    for dr, ir in zip(d.matrix, inner.matrix))

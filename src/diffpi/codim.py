@@ -201,7 +201,7 @@ def is_identity(p: DiffPoly, a: Algebra, ob: OperatorBasis) -> bool:
 
     Multilinearity makes basis tuples sufficient.
     """
-    n = validate_multilinear(p)
+    validate_multilinear(p)
     if p.is_zero():
         return True
     row = poly_row(a, ob, p)

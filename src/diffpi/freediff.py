@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import (CapExceeded, DiffSyntaxError, IntegrityError,
                      NotMultilinear, UnknownOperator)
-from .linalg import ONE, ZERO, RowSpan, Scalar, as_scalar
+from .linalg import ONE, ZERO, RowSpan, coordinates
 
 Matrix = tuple  # tuple of row tuples, acting on coordinate columns
 
@@ -107,22 +107,15 @@ def operator_basis(a, act, degree_cap: int = 16) -> OperatorBasis:
                     words.append((g,) + words[j])
                     new.append(len(ops) - 1)
         frontier = new
-    # re-span with tracking to expand products in basis coordinates
-    tracked = RowSpan(track=True)
-    for i, op in enumerate(ops):
-        flat = _mat_flat(op)
-        if flat:
-            added = tracked.insert(flat, tag=i)
-            assert added, "operator basis not independent"
+    # expand products in basis coordinates; the identity is the zero
+    # matrix only when dim == 0, and then it is the only operator
+    coords = coordinates([flat for flat in map(_mat_flat, ops) if flat])
 
     def expand(m: Matrix) -> dict:
-        flat = _mat_flat(m)
-        if not flat:
-            return {}
-        combo = tracked.express(flat)
+        combo = coords(_mat_flat(m))
         if combo is None:
             raise IntegrityError("operator span not closed under composition")
-        return {i: c for i, c in sorted(combo.items()) if c}
+        return combo
     product_table = {}
     for i in range(len(ops)):
         for j in range(len(ops)):

@@ -21,7 +21,7 @@ from .algebra import (Algebra, AlgebraWithDerivations, Derivation,
 from .characters import cocharacter, support_check, support_violations
 from .errors import BudgetExceeded, IntegrityError, NotPolynomialGrowth
 from .freediff import mat_apply, operator_basis
-from .linalg import ONE, ZERO, RowSpan, sparse
+from .linalg import ZERO, RowSpan, coordinates, sparse
 
 
 def _span_products(a: Algebra, left: Sequence[dict],
@@ -192,19 +192,16 @@ def _subalgebra(a: Algebra, basis: Sequence, labels: Sequence[str],
                 gens: Sequence[Derivation]) -> AlgebraWithDerivations:
     """Algebra structure on a multiplicatively closed, action stable
     subspace, with the restricted generators."""
-    span = RowSpan(track=True)
-    for i, v in enumerate(basis):
-        if not span.insert(sparse(v), tag=i):
-            raise IntegrityError("subalgebra basis is dependent")
+    in_basis = coordinates([sparse(v) for v in basis])
+    if in_basis is None:
+        raise IntegrityError("subalgebra basis is dependent")
     m = len(basis)
 
     def coords(vec) -> dict:
-        if not any(vec):
-            return {}
-        combo = span.express(sparse(vec))
+        combo = in_basis(sparse(vec))
         if combo is None:
             raise IntegrityError("subspace is not closed")
-        return {i: c for i, c in combo.items() if c}
+        return combo
 
     table = {}
     for i in range(m):

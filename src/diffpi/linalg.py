@@ -2,22 +2,22 @@
 
 Scalars are fractions.Fraction throughout: arithmetic is exact and
 canonical (normalized sign, lowest terms), so equality of results never
-depends on evaluation order and no rounding ever happens. Matrices are
-dict-of-dicts sparse. RowSpan eliminates on primitive integer multiples
-of its rows, in the spirit of fraction-free Gaussian elimination, and
-returns the same pivots as rational elimination would.
+depends on evaluation order and no rounding ever happens. Vectors are
+sparse dicts {column: scalar}. RowSpan eliminates on primitive integer
+multiples of its rows, in the spirit of fraction-free Gaussian
+elimination, and returns the same pivots as rational elimination would.
 
 All pivot choices are deterministic: columns are cleared left to right,
 by the earliest inserted row in RowSpan. Same input, same pivots, same
-output. nullspace and solve read the reduced echelon form, which is
-unique for a span.
+output. nullspace, solve and coordinates read the reduced echelon form,
+which is unique for a span.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 Scalar = Fraction
 
@@ -41,47 +41,6 @@ def sparse(v) -> dict:
     return {i: x for i, x in enumerate(v) if x}
 
 
-class SparseMatrix:
-    """Immutable-ish sparse rational matrix, rows as dicts col -> Scalar."""
-
-    def __init__(self, nrows: int, ncols: int, rows: Optional[list[dict]] = None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows = [dict(r) for r in rows] if rows is not None else [
-            {} for _ in range(nrows)]
-        if len(self.rows) != nrows:
-            raise ValueError("row count mismatch")
-
-    @classmethod
-    def from_dense(cls, dense: Iterable[Iterable]) -> "SparseMatrix":
-        materialized = [list(r) for r in dense]
-        width = max((len(r) for r in materialized), default=0)
-        rows = [{j: as_scalar(v) for j, v in enumerate(r) if v}
-                for r in materialized]
-        return cls(len(rows), width, rows)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i].get(j, ZERO)
-
-    def nnz(self) -> int:
-        return sum(len(r) for r in self.rows)
-
-    def dense(self) -> list[list[Fraction]]:
-        return [[self.rows[i].get(j, ZERO) for j in range(self.ncols)]
-                for i in range(self.nrows)]
-
-    def __repr__(self):
-        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
-
-
-def rank(m: SparseMatrix) -> int:
-    """Rank, as the size of the RowSpan of the rows."""
-    span = RowSpan()
-    for row in m.rows:
-        span.insert({j: v for j, v in row.items() if v})
-    return len(span)
-
-
 def reduced_echelon(rows: Iterable[dict]) -> dict:
     """Reduced row echelon form of the span of the rows, as
     {pivot column: row}; unique for the span, so it does not depend on
@@ -92,18 +51,20 @@ def reduced_echelon(rows: Iterable[dict]) -> dict:
     return span.reduced_rows()
 
 
-def nullspace(m: SparseMatrix) -> list[list[Fraction]]:
-    """Basis of the right kernel, as dense vectors of length ncols.
+def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Basis of the right kernel of the dense rows, as dense vectors as
+    long as the longest row.
 
     One basis vector per free column, in increasing column order, with a
     1 in the free position. Exact and deterministic.
     """
-    rref = reduced_echelon(m.rows)
+    ncols = max((len(r) for r in rows), default=0)
+    rref = reduced_echelon(sparse(r) for r in rows)
     basis = []
-    for free in range(m.ncols):
+    for free in range(ncols):
         if free in rref:
             continue
-        vec = [ZERO] * m.ncols
+        vec = [ZERO] * ncols
         vec[free] = ONE
         for c, row in rref.items():
             v = row.get(free)
@@ -113,34 +74,74 @@ def nullspace(m: SparseMatrix) -> list[list[Fraction]]:
     return basis
 
 
-def solve(m: SparseMatrix, b: list) -> Optional[list[Fraction]]:
-    """One exact solution of m x = b, or None if inconsistent.
+def solve(rows: Sequence[Sequence], b: Sequence) -> Optional[list[Fraction]]:
+    """One exact solution of rows · x = b, or None if inconsistent.
 
     Free variables are set to zero, which fixes the returned solution
     uniquely: it is read off the reduced echelon form.
     """
-    if len(b) != m.nrows:
+    if len(b) != len(rows):
         raise ValueError("rhs length mismatch")
+    ncols = max((len(r) for r in rows), default=0)
     aug = []
-    bc = m.ncols
-    for i, r in enumerate(m.rows):
-        row = dict(r)
-        v = as_scalar(b[i])
+    for r, rhs in zip(rows, b):
+        row = sparse(r)
+        v = as_scalar(rhs)
         if v:
-            row[bc] = v
+            row[ncols] = v
         aug.append(row)
     rref = reduced_echelon(aug)
-    if bc in rref:
+    if ncols in rref:
         return None
-    x = [ZERO] * m.ncols
+    x = [ZERO] * ncols
     for c, row in rref.items():
-        x[c] = row.get(bc, ZERO)
+        x[c] = row.get(ncols, ZERO)
     # paranoia: residual check is cheap at our sizes
-    for i, r in enumerate(m.rows):
-        s = sum((v * x[j] for j, v in r.items()), ZERO)
-        if s != as_scalar(b[i]):
+    for r, rhs in zip(rows, b):
+        s = sum((v * x[j] for j, v in enumerate(r) if v), ZERO)
+        if s != as_scalar(rhs):
             return None
     return x
+
+
+def coordinates(basis: Sequence[dict]
+                ) -> Optional[Callable[[dict], Optional[dict]]]:
+    """The coordinate map of a basis, or None if the basis is dependent.
+
+    The returned map sends a vector v to {i: c}, sorted by i and without
+    zeros, with v = sum of c times basis[i]; it sends a vector outside
+    the span to None. It is read off the reduced echelon form of
+    [basis | I]: each row there is a vector of the span next to its
+    coordinates, so a vector's entries at the pivot columns (its
+    RowSpan.express) pick the rows that add up to it.
+    """
+    off = 1 + max((c for b in basis for c in b), default=-1)
+    aug = reduced_echelon({**b, off + i: ONE} for i, b in enumerate(basis))
+    if any(c >= off for c in aug):  # some combination of the basis is 0
+        return None
+    span = RowSpan()
+    back = {}  # pivot -> (den, ints): the row's coordinates are ints / den
+    for c, row in aug.items():
+        span.insert({j: v for j, v in row.items() if j < off})
+        den = lcm(*[v.denominator for j, v in row.items() if j >= off])
+        back[c] = den, {j - off: v.numerator * (den // v.denominator)
+                        for j, v in row.items() if j >= off}
+
+    def coords(v: dict) -> Optional[dict]:
+        pivot = span.express(v)
+        if pivot is None:
+            return None
+        # sum in ints over one common denominator, then one Fraction each
+        den = lcm(*[f.denominator * back[c][0] for c, f in pivot.items()])
+        out: dict[int, int] = {}
+        for c, f in pivot.items():
+            d, ints = back[c]
+            scale = f.numerator * (den // (f.denominator * d))
+            for i, x in ints.items():
+                out[i] = out.get(i, 0) + scale * x
+        return {i: Fraction(out[i], den) for i in sorted(out) if out[i]}
+
+    return coords
 
 
 class RowSpan:
@@ -157,97 +158,67 @@ class RowSpan:
     the normalized pivots are exactly those of rational elimination,
     at the cost of int rather than Fraction arithmetic.
 
-    With track=True each stored row remembers its expression in terms of
-    the ORIGINAL inserted rows, so express() can write any vector of the
-    span as a combination of accepted originals.
+    A span keeps no record of which rows built it. To write vectors in
+    a chosen basis, use coordinates(basis).
     """
 
-    def __init__(self, track: bool = False):
+    def __init__(self):
         self.pivots: dict[int, dict] = {}
         self._ints: dict[int, dict] = {}  # lead -> primitive integer row
-        self.track = track
-        self.combos: dict[int, dict] = {}
-        self.count = 0
 
     def __len__(self):
         return len(self.pivots)
 
-    def _reduce(self, row: dict):
-        """(res, scale, combo): res is the residue of row times scale, a
-        primitive integer row; residue = row + sum of combo[k] times
-        original k (combo and scale are kept only with track=True)."""
+    def _reduce(self, row: dict) -> dict:
+        """The residue of row against the span, as a primitive integer
+        row: a nonzero multiple of the rational residue, or {}."""
         if not row:  # most products offered by exponent() vanish
-            return {}, None, {}
+            return {}
         den = lcm(*[v.denominator for v in row.values()])
         res = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-        scale = Fraction(den) if self.track else None
-        combo: dict[int, Fraction] = {}
         while res:
             c = gcd(*res.values())
             if c != 1:
                 res = {j: v // c for j, v in res.items()}
-                if self.track:
-                    scale /= c
             lead = min(res)
             piv = self._ints.get(lead)
             if piv is None:
                 break
             r = res[lead]
-            if self.track:
-                f = r / scale
-                for k, v in self.combos[lead].items():
-                    nv = combo.get(k, ZERO) - f * v
-                    if nv:
-                        combo[k] = nv
-                    elif k in combo:
-                        del combo[k]
             g = gcd(piv[lead], r)
             a, b = piv[lead] // g, r // g
             if a != 1:
                 res = {j: a * v for j, v in res.items()}
-                if self.track:
-                    scale *= a
             for j, v in piv.items():
                 nv = res.get(j, 0) - b * v
                 if nv:
                     res[j] = nv
                 else:
                     del res[j]
-        return res, scale, combo
+        return res
 
-    def insert(self, row: dict, tag=None) -> bool:
+    def insert(self, row: dict) -> bool:
         """Add a row to the span. True if it enlarged the span."""
-        residue, scale, combo = self._reduce(row)
+        residue = self._reduce(row)
         if not residue:
             return False
         lead = min(residue)
         p = residue[lead]
         self._ints[lead] = residue
         self.pivots[lead] = {j: Fraction(v, p) for j, v in residue.items()}
-        if self.track:
-            key = tag if tag is not None else self.count
-            inv = scale / p
-            combo = {k: v * inv for k, v in combo.items()}
-            combo[key] = combo.get(key, ZERO) + inv
-            self.combos[lead] = combo
-        self.count += 1
         return True
 
     def contains(self, row: dict) -> bool:
-        residue, _, _ = self._reduce(row)
-        return not residue
+        return not self._reduce(row)
 
     def express(self, row: dict) -> Optional[dict]:
-        """Write row as {tag: coeff} over accepted originals, or None.
-
-        Only available with track=True.
-        """
-        if not self.track:
-            raise ValueError("span built without tracking")
-        residue, _, combo = self._reduce(row)
-        if residue:
+        """Coordinates of row in the reduced echelon basis, or None if
+        row is outside the span. Each basis row is 1 at its own pivot
+        column and 0 at every other one, so the coordinates are row's
+        entries at the pivot columns, as {pivot column: entry}."""
+        if self._reduce(row):
             return None
-        return {k: -v for k, v in combo.items()}
+        return {c: v for c, v in row.items() if c in self.pivots}
 
     def reduced_rows(self) -> dict:
         """Reduced echelon basis {pivot column: row}: each row is 1 at its

@@ -11,7 +11,7 @@ from diffpi.characters import (multiplicity_rows, permuted_row,
                                representative)
 from diffpi.codim import monomial_row
 from diffpi.errors import IntegrityError
-from diffpi.linalg import RowSpan, reduced_echelon
+from diffpi.linalg import coordinates, reduced_echelon
 from test_codim import greedy_quotient
 
 F = Fraction
@@ -127,21 +127,21 @@ def test_full_codim_ordinary_basis(name, max_n):
 
 @pytest.mark.parametrize("name,max_n", [("UT2eps", 4), ("M2sl2", 2)])
 def test_module_trace_matches_expression_in_quotient_rows(name, max_n):
-    # second route: express each moved quotient row in the tracked basis
-    # of the quotient rows and add up the diagonal coefficients
+    # second route: write each moved quotient row in the basis of the
+    # quotient rows themselves, by the [rows | I] elimination of
+    # coordinates(), and add up the diagonal coefficients
     awd = builtin(name)
     a = awd.algebra
     ob = operator_basis(a, awd.action)
     for n in range(1, max_n + 1):
         rows = codim(a, ob, n).quotient_rows
-        span = RowSpan(track=True)
-        for i, row in enumerate(rows):
-            assert span.insert(row, tag=i)
+        coords = coordinates(rows)
+        assert coords is not None
         want = {}
         for mu in partitions(n):
             g = representative(mu, n)
-            want[mu] = sum(span.express(permuted_row(row, g, n, a.dim))
-                           .get(i, 0) for i, row in enumerate(rows))
+            want[mu] = sum(coords(permuted_row(row, g, n, a.dim)).get(i, 0)
+                           for i, row in enumerate(rows))
         assert module_trace(a.dim, n, rows) == want
 
 

@@ -3,13 +3,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffpi.linalg import RowSpan, SparseMatrix, as_scalar, nullspace, rank, solve
+from diffpi.linalg import (RowSpan, as_scalar, coordinates, nullspace,
+                           solve)
 
 F = Fraction
 
 
 def dense(rows):
-    return SparseMatrix.from_dense([[F(x) for x in r] for r in rows])
+    return [[F(x) for x in r] for r in rows]
+
+
+def rank(rows):
+    s = RowSpan()
+    for r in rows:
+        s.insert({j: v for j, v in enumerate(r) if v})
+    return len(s)
 
 
 def test_rank_basic():
@@ -73,21 +81,28 @@ def test_rowspan_insert_and_contains():
     assert len(s) == 1
 
 
+def combine(coeffs, basis):
+    """sum of coeffs[key] times basis[key], without zeros"""
+    out: dict = {}
+    for key, c in coeffs.items():
+        for col, v in basis[key].items():
+            out[col] = out.get(col, F(0)) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
 def test_rowspan_express_combination():
-    s = RowSpan(track=True)
+    s = RowSpan()
     rows = [{0: F(1), 1: F(1)}, {1: F(1), 2: F(1)}]
-    for t, r in enumerate(rows):
-        assert s.insert(dict(r), tag=t)
+    for r in rows:
+        assert s.insert(dict(r))
     target = {0: F(2), 1: F(3), 2: F(1)}
+    # the reduced echelon basis is e0 - e2, e1 + e2: coordinates are the
+    # entries of target at the pivot columns 0 and 1
     combo = s.express(dict(target))
-    assert combo is not None
-    # reconstruct: sum of combo coefficients times original rows
-    recon: dict = {}
-    for tag, c in combo.items():
-        for col, v in rows[tag].items():
-            recon[col] = recon.get(col, F(0)) + c * v
-    assert {k: v for k, v in recon.items() if v} == target
+    assert combo == {0: F(2), 1: F(3)}
+    assert combine(combo, s.reduced_rows()) == target
     assert s.express({0: F(1)}) is None
+    assert s.express({}) == {}
 
 
 small_int = st.integers(min_value=-3, max_value=3)
@@ -103,9 +118,8 @@ def int_matrix(draw):
 @settings(max_examples=60, deadline=None)
 @given(int_matrix())
 def test_rank_nullity(rows):
-    m = SparseMatrix.from_dense(rows)
-    r = rank(m)
-    ns = nullspace(m)
+    r = rank(rows)
+    ns = nullspace(rows)
     assert 0 <= r <= min(len(rows), len(rows[0]))
     assert r + len(ns) == len(rows[0])
     for v in ns:
@@ -119,8 +133,7 @@ def test_solve_roundtrip(rows, data):
     ncols = len(rows[0])
     x = [F(data.draw(small_int)) for _ in range(ncols)]
     b = [sum(r[j] * x[j] for j in range(ncols)) for r in rows]
-    m = SparseMatrix.from_dense(rows)
-    y = solve(m, b)
+    y = solve(rows, b)
     assert y is not None
     for r, want in zip(rows, b):
         assert sum(a * v for a, v in zip(r, y)) == want
@@ -129,12 +142,9 @@ def test_solve_roundtrip(rows, data):
 @settings(max_examples=40, deadline=None)
 @given(int_matrix())
 def test_rowspan_size_matches_rank(rows):
-    # rank() is built on RowSpan, so compare with the nullity instead
-    s = RowSpan()
-    for r in rows:
-        s.insert({j: v for j, v in enumerate(r) if v})
-    m = SparseMatrix.from_dense(rows)
-    assert len(s) == m.ncols - len(nullspace(m))
+    # nullspace() is built on RowSpan too, but reads the reduced echelon
+    # form: its free columns must be what the pivots leave over
+    assert rank(rows) == len(rows[0]) - len(nullspace(rows))
 
 
 def rational_pivots(rows):
@@ -164,19 +174,17 @@ fraction = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 def test_rowspan_matches_rational_elimination(rows):
     sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
     want_accepted, want_pivots = rational_pivots(sparse)
-    s = RowSpan(track=True)
-    assert [s.insert(r, tag=i) for i, r in enumerate(sparse)] == want_accepted
+    s = RowSpan()
+    assert [s.insert(r) for r in sparse] == want_accepted
     assert s.pivots == want_pivots
-    for c, row in s.reduced_rows().items():
+    rref = s.reduced_rows()
+    for c, row in rref.items():
         assert row[c] == 1 and not set(row) & (set(s.pivots) - {c})
         assert s.contains(row)
     for target in sparse:
         combo = s.express(target)
-        recon: dict = {}
-        for tag, coeff in combo.items():
-            for col, v in sparse[tag].items():
-                recon[col] = recon.get(col, F(0)) + coeff * v
-        assert {k: v for k, v in recon.items() if v} == target
+        assert set(combo) <= set(rref)
+        assert combine(combo, rref) == target
 
 
 def gauss_jordan(rows, ncols):
@@ -205,7 +213,6 @@ def gauss_jordan(rows, ncols):
                 max_size=6), st.data())
 def test_nullspace_and_solve_match_gauss_jordan(rows, data):
     ncols = len(rows[0])
-    m = SparseMatrix.from_dense(rows)
     rref = gauss_jordan(rows, ncols)
     want = []
     for free in (c for c in range(ncols) if c not in rref):
@@ -214,13 +221,52 @@ def test_nullspace_and_solve_match_gauss_jordan(rows, data):
         for c, row in rref.items():
             vec[c] = -row[free]
         want.append(vec)
-    assert nullspace(m) == want
+    assert nullspace(rows) == want
     b = [data.draw(fraction) for _ in rows]
     aug = gauss_jordan([r + [x] for r, x in zip(rows, b)], ncols + 1)
     if ncols in aug:
-        assert solve(m, b) is None
+        assert solve(rows, b) is None
     else:
         x = [F(0)] * ncols
         for c, row in aug.items():
             x[c] = row[ncols]
-        assert solve(m, b) == x
+        assert solve(rows, b) == x
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(fraction, min_size=4, max_size=4), max_size=5),
+       st.lists(fraction, min_size=5, max_size=5), st.data())
+def test_coordinates_match_gauss_jordan(rows, coeffs, data):
+    # reference: Gauss-Jordan on [basis^T | v] solves sum c_i basis[i] = v;
+    # the basis is independent iff every column of basis^T is a pivot
+    basis = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    m = len(rows)
+    columns = [[r[j] for r in rows] for j in range(4)]
+    independent = all(i in gauss_jordan(columns, m) for i in range(m))
+    coords = coordinates(basis)
+    if not independent:
+        assert coords is None
+        return
+    assert coords({}) == {}
+    inside = combine(dict(enumerate(coeffs[:m])), basis)
+    want = {i: c for i, c in enumerate(coeffs[:m]) if c}
+    assert coords(inside) == want
+    v = [data.draw(fraction) for _ in range(4)] + [data.draw(fraction)]
+    aug = gauss_jordan([col + [x] for col, x in zip(columns, v)], m + 1)
+    sparse_v = {j: x for j, x in enumerate(v) if x}
+    if m in aug or v[4]:
+        assert coords(sparse_v) is None
+    else:
+        got = coords(sparse_v)
+        assert got == {i: aug[i][m] for i in range(m) if aug[i][m]}
+        assert combine(got, basis) == sparse_v
+
+
+def test_coordinates_edge_cases():
+    assert coordinates([])({}) == {}
+    assert coordinates([])({0: F(1)}) is None
+    assert coordinates([{}]) is None
+    assert coordinates([{0: F(1)}, {0: F(-2)}]) is None
+    coords = coordinates([{1: F(2)}, {0: F(1), 1: F(1)}])
+    assert coords({0: F(3), 1: F(5)}) == {0: F(1), 1: F(3)}
+    assert coords({2: F(1)}) is None
