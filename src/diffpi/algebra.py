@@ -29,8 +29,8 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import (IntegrityError, InvariantViolation, NonSplit,
                      UnknownBuiltin)
 from .freediff import _mat_flat, mat_apply, mat_identity
-from .linalg import (ONE, ZERO, RowSpan, as_scalar, coordinates, nullspace,
-                     reduced_echelon, solve, sparse)
+from .linalg import (ONE, ZERO, RowSpan, as_scalar, combine, coordinates,
+                     nullspace, reduced_echelon, solve, sparse)
 
 Vector = tuple
 
@@ -339,16 +339,7 @@ def _subspace_center(q: Algebra, piece: Sequence[Vector]) -> list[Vector]:
                 for b in piece]
         for c in range(q.dim):
             rows.append([w[c] for w in comm])
-    ns = nullspace(rows)
-    out = []
-    for coeffs in ns:
-        vec = [ZERO] * q.dim
-        for i, c in enumerate(coeffs):
-            if c:
-                for k in range(q.dim):
-                    vec[k] += c * piece[i][k]
-        out.append(tuple(vec))
-    return out
+    return [combine(coeffs, piece, q.dim) for coeffs in nullspace(rows)]
 
 
 def _minpoly(mat: list[list[Fraction]]) -> list[Fraction]:
@@ -451,9 +442,8 @@ def _split_blocks(q: Algebra, rng: random.Random) -> list[list[Vector]]:
             if candidates:
                 z = candidates.pop(0)
             else:
-                z = tuple(sum((Fraction(rng.randint(-3, 3)) * center[i][k]
-                               for i in range(len(center))), ZERO)
-                          for k in range(q.dim))
+                z = combine([Fraction(rng.randint(-3, 3)) for _ in center],
+                            center, q.dim)
             tried += 1
             # matrix of multiplication by z on the center
             mat = []
@@ -477,15 +467,8 @@ def _split_blocks(q: Algebra, rng: random.Random) -> list[list[Vector]]:
                 rows = []
                 for c in range(q.dim):
                     rows.append([w[c] - r * b[c] for w, b in zip(zp, piece)])
-                ns = nullspace(rows)
-                sub = []
-                for coeffs in ns:
-                    vec = [ZERO] * q.dim
-                    for i, cc in enumerate(coeffs):
-                        if cc:
-                            for k in range(q.dim):
-                                vec[k] += cc * piece[i][k]
-                    sub.append(tuple(vec))
+                sub = [combine(coeffs, piece, q.dim)
+                       for coeffs in nullspace(rows)]
                 if sub:
                     pieces.append(sub)
                     total += len(sub)
@@ -520,12 +503,7 @@ def _block_unit(q: Algebra, block: list[Vector]) -> Vector:
     sol = solve(rows, rhs)
     if sol is None:
         raise IntegrityError("block has no unit; split produced a non-ideal")
-    vec = [ZERO] * q.dim
-    for i, c in enumerate(sol):
-        if c:
-            for k in range(q.dim):
-                vec[k] += c * block[i][k]
-    return tuple(vec)
+    return combine(sol, block, q.dim)
 
 
 def _lift_section(a: Algebra, q: Algebra, reps: list[int],
@@ -539,15 +517,6 @@ def _lift_section(a: Algebra, q: Algebra, reps: list[int],
     """
     dim, m = a.dim, q.dim
     sec = [a.basis_vector(c) for c in reps]
-
-    def s_of(vec_q: Sequence) -> Vector:
-        out = [ZERO] * dim
-        for i, c in enumerate(vec_q):
-            if c:
-                for k in range(dim):
-                    out[k] += c * sec[i][k]
-        return tuple(out)
-
     qprod = {}
     for al in range(m):
         for be in range(m):
@@ -560,7 +529,7 @@ def _lift_section(a: Algebra, q: Algebra, reps: list[int],
         for al in range(m):
             for be in range(m):
                 d = tuple(x - y for x, y in zip(
-                    s_of(qprod[(al, be)]),
+                    combine(qprod[(al, be)], sec, dim),
                     a.multiply(sec[al], sec[be])))
                 defects[(al, be)] = d
                 if any(d):
@@ -608,17 +577,13 @@ def _lift_section(a: Algebra, q: Algebra, reps: list[int],
             raise IntegrityError("section correction system inconsistent; "
                                  "quotient is not separable")
         for ga in range(m):
-            corr = [ZERO] * dim
-            for t in range(T):
-                cc = sol[ga * T + t]
-                if cc:
-                    for c in range(dim):
-                        corr[c] += cc * lifts[t][c]
-            sec[ga] = tuple(x + y for x, y in zip(sec[ga], corr))
+            sec[ga] = combine([ONE, *sol[ga * T:(ga + 1) * T]],
+                              [sec[ga], *lifts], dim)
     # final exactness check
     for al in range(m):
         for be in range(m):
-            if s_of(qprod[(al, be)]) != a.multiply(sec[al], sec[be]):
+            if combine(qprod[(al, be)], sec, dim) \
+                    != a.multiply(sec[al], sec[be]):
                 raise IntegrityError("lifted section is not multiplicative")
     return sec
 
@@ -654,17 +619,9 @@ def wedderburn(a: Algebra, seed: int = 0) -> WedderburnData:
                            "matrix algebra over the rationals")
         dims.append(n)
     sec = _lift_section(a, quotient, reps, jpowers)
-
-    def s_of(vec_q: Sequence) -> Vector:
-        out = [ZERO] * a.dim
-        for i, c in enumerate(vec_q):
-            if c:
-                for k in range(a.dim):
-                    out[k] += c * sec[i][k]
-        return tuple(out)
-
-    block_bases = tuple(tuple(s_of(v) for v in b) for b in blocks_q)
-    idems = tuple(s_of(u) for u in units_q)
+    block_bases = tuple(tuple(combine(v, sec, a.dim) for v in b)
+                        for b in blocks_q)
+    idems = tuple(combine(u, sec, a.dim) for u in units_q)
     complement = tuple(v for bb in block_bases for v in bb)
     if sum(d * d for d in dims) + len(rad) != a.dim:
         raise IntegrityError("block dimensions do not add up")

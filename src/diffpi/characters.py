@@ -4,23 +4,22 @@ Irreducible characters come from the Murnaghan Nakayama rule on beta
 sets. Multiplicities of the quotient module are recovered from exact
 traces of one representative permutation per cycle type. Evaluation is
 S_n-equivariant, so the row of g.m is the row of m with the digits of
-its input-tuple columns permuted by g (permuted_row); codim() closes its
-span under the adjacent swaps this way, and the traces act on the rows
-it returns the same way, so nothing is evaluated twice. The trace of g
-is read off the moved rows of the reduced echelon basis of the quotient
-rows, in which a row's coordinates are its pivot entries. Everything is
-exact; a multiplicity that fails to be a non-negative integer aborts
-loudly.
+its input-tuple columns permuted by g (codim.permuted_row). module_trace
+reads the span that codim() built, closed under S_n by the same moves:
+the trace of g is read off the moved rows of its reduced echelon basis,
+in which a row's coordinates are its pivot entries, so nothing is
+evaluated or eliminated twice. Everything is exact; a multiplicity that
+fails to be a non-negative integer aborts loudly.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .algebra import Algebra
-from .codim import codim
+from .codim import codim, permuted_row
 from .errors import IntegrityError, NonIntegerMultiplicity
 from .freediff import OperatorBasis
 from .linalg import ZERO, RowSpan
@@ -111,40 +110,17 @@ def representative(mu: Partition, n: int) -> tuple:
     return tuple(perm)
 
 
-def permuted_row(row: dict, g: tuple, n: int, dim: int) -> dict:
-    """Row of g.m from the row of m, at degree n.
-
-    g.m at the input tuple t has the value of m at the tuple s with
-    t[g[v]] = s[v], so column (s, c) moves to (t, c): digit v of the
-    column index moves from place dim^(n-v) to place dim^(n-g[v]). Only
-    the digits g moves are read, and only at the row's nonzero columns.
-    """
-    moved = [(dim ** (n - v), dim ** (n - g[v]) - dim ** (n - v))
-             for v in range(n) if g[v] != v]
-    out = {}
-    for col, x in row.items():
-        new = col
-        for p, d in moved:
-            new += col // p % dim * d
-        out[new] = x
-    return out
-
-
-def module_trace(dim: int, n: int, rows: Sequence[dict]) -> dict:
+def module_trace(dim: int, n: int, span: RowSpan) -> dict:
     """Trace of each cycle type acting on the multilinear quotient.
 
-    rows are the evaluation rows of a quotient basis, as codim() returns
-    them, and span a space V that every g maps into itself. In the
-    reduced echelon basis of V a vector's coordinates are its entries at
-    the pivot columns, so the trace of g sums, over the basis rows b
-    with pivot column c, entry c of the relabelled row of b. Exact by
-    construction; a relabelled row outside V means the rows did not
-    span an S_n-module.
+    span holds the evaluation rows of the quotient, as codim() returns
+    it, and is a space V that every g maps into itself. In the reduced
+    echelon basis of V a vector's coordinates are its entries at the
+    pivot columns, so the trace of g sums, over the basis rows b with
+    pivot column c, entry c of the relabelled row of b. Exact by
+    construction; a relabelled row outside V means the span is not an
+    S_n-module.
     """
-    span = RowSpan()
-    for row in rows:
-        if not span.insert(row):
-            raise IntegrityError("quotient basis rows are dependent")
     basis = span.reduced_rows()
     out = {}
     for mu in partitions(n):
@@ -221,8 +197,8 @@ def cocharacter(a: Algebra, ob: OperatorBasis, n: int,
                 budget: Optional[int] = None) -> CocharacterTable:
     """Cocharacter decomposition at degree n, with the ordinary one."""
     full = codim(a, ob, n, budget=budget)
-    traces = module_trace(a.dim, n, full.quotient_rows)
-    traces_ord = module_trace(a.dim, n, full.ordinary_rows)
+    traces = module_trace(a.dim, n, full.quotient)
+    traces_ord = module_trace(a.dim, n, full.ordinary)
     rows = multiplicity_rows(n, traces, traces_ord)
     # c_n is the identity trace, and by column orthogonality the
     # multiplicities rebuild the identity trace for any traces: these

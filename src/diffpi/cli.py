@@ -20,7 +20,8 @@ from typing import NamedTuple, Optional
 from . import __version__
 from .algebra import (Algebra, AlgebraWithDerivations, Derivation, builtin,
                       make_action, split_derivation, wedderburn)
-from .codim import codim, ensure_budget, ensure_consequences_budget
+from .codim import (codim, ensure_budget, ensure_consequences_budget,
+                    is_identity)
 from .characters import cocharacter
 from .errors import (BudgetExceeded, DiffPiError, DiffSyntaxError,
                      IntegrityError, InvariantViolation, NonSplit,
@@ -484,7 +485,6 @@ def cmd_check_identity(args):
     awd = loaded.checked()
     ob = operator_basis(awd.algebra, awd.action)
     rows = []
-    from .codim import is_identity
     for src in args.poly:
         p = parse_diff_poly(src, ob)
         rows.append({"input": src,
@@ -602,7 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    version=f"diffpi {__version__}")
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
 
-    def cmd(name, help_text, **extra):
+    def cmd(name, help_text):
         sp = sub.add_parser(name, parents=[common], help=help_text)
         sp.add_argument("input", help="algebra file path or builtin name")
         return sp

@@ -5,34 +5,38 @@ by substituting basis vectors for variables; the codimension is the rank
 of that evaluation. Columns are indexed by (input tuple, output
 coordinate).
 
-The image is built without evaluating every monomial. Rows of the
-identity-order monomials x_1^{h_1} ... x_n^{h_n} span
-W_n = mu(W_{n-1} (x) E): the row of w * x_n^h at (t, b) is the value of
-w at t times op_h(e_b), one Algebra.product per block. A basis of
-W_{n-1} times each operator therefore spans W_n. Evaluation is
-S_n-equivariant and the identity-order monomials reach every monomial
-under S_n, so the image is the closure of W_n under the n-1 adjacent
-swaps of the input tuple; a swap only relabels a row's columns. c_n^L is
-the dimension of that closure, and c_n the dimension of the closure of
-the one identity-label row.
+Every evaluation row is built by one prefix-product step (_step): a row
+blocked by input tuple, {t: w(t)}, times one label's images op_h(e_b)
+is {t*dim + b: w(t) op_h(e_b)}, one Algebra.product per block and only
+nonzero blocks kept. n steps give the row of an identity-order monomial
+x_1^{h_1} ... x_n^{h_n}; evaluate() takes the same step with one image
+per position.
 
-codim() is the one evaluation pass per degree: it returns basis rows of
-both closures, and the module traces of characters.py act on these by
-moving columns, never by evaluating again.
+Evaluation is S_n-equivariant, so the row of any other variable order
+is that row with the digits of its input-tuple columns permuted
+(permuted_row). monomial_row() is one walk and one move. The rows of the
+identity-order monomials span W_n = mu(W_{n-1} (x) E), so a basis of
+W_{n-1} stepped with each label spans W_n, and the image is the closure
+of W_n under the n-1 adjacent swaps. c_n^L is the dimension of that
+closure, and c_n the dimension of the closure of the one identity-label
+row.
+
+codim() is the one evaluation pass per degree: it returns both closures
+as RowSpans, and the module traces of characters.py read those spans by
+moving columns, never by evaluating or eliminating again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import comb, factorial
 from typing import Optional, Sequence
 
 from .algebra import Algebra
 from .errors import BudgetExceeded, NotMultilinear
-from .freediff import (DiffMonomial, DiffPoly, OperatorBasis, consequences,
-                       mat_apply, validate_multilinear)
-from .linalg import ZERO, RowSpan, sparse
+from .freediff import (DiffMonomial, DiffPoly, OperatorBasis, adjacent_swaps,
+                       consequences, mat_apply, validate_multilinear)
+from .linalg import ZERO, RowSpan, as_scalar, sparse
 
 DEFAULT_BUDGET = 100_776_960  # 6! * 2**6 * 3**7, the reference workload
 
@@ -66,26 +70,56 @@ def ensure_consequences_budget(gens: Sequence[DiffPoly], n: int, k: int,
     _charge("consequence closure", n, consequences_cost(gens, n, k), budget)
 
 
-def monomial_row(a: Algebra, ob: OperatorBasis, m: DiffMonomial) -> dict:
-    """Evaluation row of a single monomial (columns as above)."""
-    n = len(m.perm)
+def permuted_row(row: dict, g: tuple, n: int, dim: int) -> dict:
+    """Row of g.m from the row of m, at degree n.
+
+    g.m at the input tuple t has the value of m at the tuple s with
+    t[g[v]] = s[v], so column (s, c) moves to (t, c): digit v of the
+    column index moves from place dim^(n-v) to place dim^(n-g[v]). Only
+    the digits g moves are read, and only at the row's nonzero columns.
+    """
+    moved = [(dim ** (n - v), dim ** (n - g[v]) - dim ** (n - v))
+             for v in range(n) if g[v] != v]
+    out = {}
+    for col, x in row.items():
+        new = col
+        for p, d in moved:
+            new += col // p % dim * d
+        out[new] = x
+    return out
+
+
+def _step(a: Algebra, blocks: dict, imgs: list) -> dict:
+    """One prefix-product step: {t: w(t)} times one label's images
+    imgs[b] = op_h(e_b) is {t*dim + b: w(t) op_h(e_b)}, nonzero products
+    only. The empty prefix is {0: None}."""
     dim = a.dim
-    row = {}
-    for t in product(range(dim), repeat=n):
-        vec = None
-        for p in range(n):
-            img = sparse(mat_apply(ob.ops[m.labels[p]],
-                                   a.basis_vector(t[m.perm[p]])))
-            vec = img if vec is None else a.product(vec, img)
-            if not vec:
-                break
-        else:
-            t_idx = 0
-            for x in t:
-                t_idx = t_idx * dim + x
-            for c, v in vec.items():
-                row[t_idx * dim + c] = v
-    return row
+    out = {}
+    for t, vec in blocks.items():
+        for b, img in enumerate(imgs):
+            prod = img if vec is None else a.product(vec, img)
+            if prod:
+                out[t * dim + b] = prod
+    return out
+
+
+def _flat(blocks: dict, dim: int) -> dict:
+    """Evaluation row of a blocked row {t: w(t)}."""
+    return {t * dim + c: v for t, vec in blocks.items()
+            for c, v in vec.items()}
+
+
+def _images(a: Algebra, op) -> list:
+    return [sparse(mat_apply(op, a.basis_vector(b))) for b in range(a.dim)]
+
+
+def monomial_row(a: Algebra, ob: OperatorBasis, m: DiffMonomial) -> dict:
+    """Evaluation row of a single monomial (columns as above): the row of
+    its labels in identity order, moved to its variable order."""
+    blocks = {0: None}
+    for h in m.labels:
+        blocks = _step(a, blocks, _images(a, ob.ops[h]))
+    return permuted_row(_flat(blocks, a.dim), m.perm, len(m.perm), a.dim)
 
 
 def poly_row(a: Algebra, ob: OperatorBasis, p: DiffPoly) -> dict:
@@ -105,51 +139,30 @@ class CodimResult:
     n: int
     c_n_L: int
     c_n_ordinary: int
-    quotient_rows: tuple   # evaluation rows, a basis of the image
-    ordinary_rows: tuple   # the same for identity labels only
+    quotient: RowSpan   # span of the evaluation rows, the image
+    ordinary: RowSpan   # the same for identity labels only
 
 
-def _prefix_rows(a: Algebra, images: list, rows: Optional[list]):
-    """Row of w * x^h for each row w of degree j (None: j = 0) and each
-    label's image table images[h][b] = op_h(e_b), in degree j + 1."""
+def _closure_rows(a: Algebra, images: list, n: int) -> RowSpan:
+    """The S_n-closure of the identity-order span at degree n, for the
+    labels whose image tables are given."""
     dim = a.dim
-    if rows is None:
-        for imgs in images:
-            yield {b * dim + c: v for b, img in enumerate(imgs)
-                   for c, v in img.items()}
-        return
-    for row in rows:
-        blocks: dict = {}
-        for col, v in row.items():
-            t, c = divmod(col, dim)
-            blocks.setdefault(t, {})[c] = v
-        for imgs in images:
-            out = {}
-            for t, vec in blocks.items():
-                for b, img in enumerate(imgs):
-                    for c, v in a.product(vec, img).items():
-                        out[(t * dim + b) * dim + c] = v
-            yield out
-
-
-def _closure_rows(a: Algebra, images: list, n: int) -> list:
-    """Basis rows of the S_n-closure of the identity-order span at
-    degree n, for the labels whose image tables are given."""
-    from .characters import permuted_row  # characters imports codim
-    rows = None
+    blocked = [{0: None}]
     for _ in range(n):
+        # a basis of W_j stepped with every label spans W_(j+1)
         span = RowSpan()
-        rows = [r for r in _prefix_rows(a, images, rows) if span.insert(r)]
-    swaps = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
-             for i in range(n - 1)]
+        steps = (_step(a, w, imgs) for w in blocked for imgs in images)
+        blocked = [w for w in steps if span.insert(_flat(w, dim))]
     # span holds W_n; every accepted row goes through every swap, and
     # rows accepted on the way join the list being walked
+    rows = [_flat(w, dim) for w in blocked]
+    swaps = adjacent_swaps(n)
     for row in rows:
         for g in swaps:
-            moved = permuted_row(row, g, n, a.dim)
+            moved = permuted_row(row, g, n, dim)
             if span.insert(moved):
                 rows.append(moved)
-    return rows
+    return span
 
 
 def codim(a: Algebra, ob: OperatorBasis, n: int,
@@ -164,35 +177,34 @@ def codim(a: Algebra, ob: OperatorBasis, n: int,
         raise ValueError("degree must be at least 1")
     ensure_budget(n, 1 if ordinary_only else ob.k, a.dim, budget)
     ops = ob.ops[:1] if ordinary_only else ob.ops
-    images = [[sparse(mat_apply(op, a.basis_vector(b))) for b in range(a.dim)]
-              for op in ops]
+    images = [_images(a, op) for op in ops]
     ordinary = _closure_rows(a, images[:1], n)
     # with one label (ordinary_only, or a trivial action) they coincide
     quotient = ordinary if len(images) == 1 else _closure_rows(a, images, n)
-    return CodimResult(n=n, c_n_L=len(quotient),
-                       c_n_ordinary=len(ordinary),
-                       quotient_rows=tuple(quotient),
-                       ordinary_rows=tuple(ordinary))
+    return CodimResult(n=n, c_n_L=len(quotient), c_n_ordinary=len(ordinary),
+                       quotient=quotient, ordinary=ordinary)
 
 
 def evaluate(p: DiffPoly, args: Sequence, a: Algebra,
              ob: OperatorBasis) -> tuple:
-    """Value of p at the given algebra elements (one per variable)."""
+    """Value of p at the given algebra elements (one per variable), each
+    given by its a.dim exact coordinates."""
     n = validate_multilinear(p)
     if len(args) != n:
         raise ValueError(f"need {n} arguments, got {len(args)}")
-    args = [tuple(x) for x in args]
+    args = [tuple(as_scalar(x) for x in v) for v in args]
+    for v in args:
+        if len(v) != a.dim:
+            raise ValueError(f"an argument has {len(v)} coordinates, "
+                             f"the algebra has dimension {a.dim}")
     out = [ZERO] * a.dim
     for m, coeff in p.terms.items():
-        vec = None
-        for pos in range(n):
-            img = sparse(mat_apply(ob.ops[m.labels[pos]], args[m.perm[pos]]))
-            vec = img if vec is None else a.product(vec, img)
-            if not vec:
-                break
-        else:
-            for i, v in vec.items():
-                out[i] += coeff * v
+        # one image per position keeps the single block at t = 0
+        blocks = {0: None}
+        for v, h in zip(m.perm, m.labels):
+            blocks = _step(a, blocks, [sparse(mat_apply(ob.ops[h], args[v]))])
+        for i, x in blocks.get(0, {}).items():
+            out[i] += coeff * x
     return tuple(out)
 
 
@@ -204,8 +216,7 @@ def is_identity(p: DiffPoly, a: Algebra, ob: OperatorBasis) -> bool:
     validate_multilinear(p)
     if p.is_zero():
         return True
-    row = poly_row(a, ob, p)
-    return not row
+    return not poly_row(a, ob, p)
 
 
 def codim_via_ideal(gens: Sequence[DiffPoly], ob: OperatorBasis, n: int,

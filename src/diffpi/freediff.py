@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 from math import factorial
 from typing import NamedTuple, Optional, Sequence
 
@@ -233,6 +234,13 @@ def sn_act(g: Sequence[int], p: DiffPoly) -> DiffPoly:
         key = DiffMonomial(tuple(g[v] for v in m.perm), m.labels)
         out[key] = out.get(key, ZERO) + c
     return DiffPoly(p.n, out)
+
+
+def adjacent_swaps(n: int) -> list:
+    """The n-1 transpositions (i i+1) in one-line form; they generate
+    S_n."""
+    return [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
+            for i in range(n - 1)]
 
 
 def _derive_terms(gen: int, terms: dict, ob: OperatorBasis) -> dict:
@@ -481,35 +489,33 @@ def _substitution_instances(g: DiffPoly, n: int, ob: OperatorBasis):
     the variables in order s is sn_act(s, .) of the one yielded here
     with the same cuts and labels.
     """
-    from itertools import combinations, product
-
     d = g.n
     if d > n or g.is_zero():
         return
     for cuts in combinations(range(n + 1), d + 1):
         for labels in product(range(ob.k), repeat=n):
-            cells = tuple(enumerate(labels))  # (variable, label) by position
-            pre = cells[:cuts[0]]
-            post = cells[cuts[d]:]
-            block_pairs = [cells[cuts[i]:cuts[i + 1]] for i in range(d)]
+            def part(lo: int, hi: int) -> DiffMonomial:
+                return DiffMonomial(tuple(range(lo, hi)), labels[lo:hi])
+            blocks = [part(cuts[i], cuts[i + 1]) for i in range(d)]
+            post = part(cuts[d], n)
+            # (variable of g, label) -> the slot word applied to the block
+            frags: dict = {}
             out: dict[DiffMonomial, Fraction] = {}
             for gm, gc in g.terms.items():
-                # expand each slot: apply the slot word to its block
                 choices = []
-                for slot_pos in range(d):
-                    yvar = gm.perm[slot_pos]
-                    word = ob.words[gm.labels[slot_pos]]
-                    frag = {block_pairs[yvar]: ONE}
-                    for gen in reversed(word):
-                        frag = _frag_derive(gen, frag, ob)
-                    choices.append(sorted(frag.items()))
-                stack = [(pre, gc, 0)]
+                for cell in zip(gm.perm, gm.labels):
+                    if cell not in frags:
+                        yvar, lab = cell
+                        frags[cell] = list(apply_word(
+                            ob.words[lab], DiffPoly(n, {blocks[yvar]: ONE}),
+                            ob).terms.items())
+                    choices.append(frags[cell])
+                # (perm, labels) of the prefix, its coefficient, next slot
+                stack = [(part(0, cuts[0]), gc, 0)]
                 while stack:
-                    pairs, coeff, slot = stack.pop()
+                    (perm, labs), coeff, slot = stack.pop()
                     if slot == d:
-                        full = pairs + post
-                        key = DiffMonomial(tuple(v for v, _ in full),
-                                           tuple(h for _, h in full))
+                        key = DiffMonomial(perm + post.perm, labs + post.labels)
                         nc = out.get(key, ZERO) + coeff
                         if nc:
                             out[key] = nc
@@ -517,25 +523,10 @@ def _substitution_instances(g: DiffPoly, n: int, ob: OperatorBasis):
                             del out[key]
                         continue
                     for frag, fc in choices[slot]:
-                        stack.append((pairs + frag, coeff * fc, slot + 1))
+                        stack.append(((perm + frag.perm, labs + frag.labels),
+                                      coeff * fc, slot + 1))
             if out:
                 yield DiffPoly(n, out)
-
-
-def _frag_derive(gen: int, frag: dict, ob: OperatorBasis) -> dict:
-    """Leibniz step on (var, label) pair tuples."""
-    act = ob.gen_action[gen]
-    out: dict[tuple, Fraction] = {}
-    for pairs, c in frag.items():
-        for pos, (v, h) in enumerate(pairs):
-            for lab, cc in act[h].items():
-                key = pairs[:pos] + ((v, lab),) + pairs[pos + 1:]
-                nc = out.get(key, ZERO) + c * cc
-                if nc:
-                    out[key] = nc
-                elif key in out:
-                    del out[key]
-    return out
 
 
 def consequences(gens: Sequence[DiffPoly], n: int, ob: OperatorBasis) -> list[DiffPoly]:
@@ -564,8 +555,7 @@ def consequences(gens: Sequence[DiffPoly], n: int, ob: OperatorBasis) -> list[Di
     for g in gens:
         for inst in _substitution_instances(g, n, ob):
             push(inst)
-    swaps = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
-             for i in range(n - 1)]
+    swaps = adjacent_swaps(n)
     while queue:
         p = queue.pop()
         for g in range(len(ob.gen_names)):

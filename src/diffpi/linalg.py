@@ -41,6 +41,18 @@ def sparse(v) -> dict:
     return {i: x for i, x in enumerate(v) if x}
 
 
+def combine(coeffs: Sequence, vectors: Sequence[Sequence], dim: int) -> tuple:
+    """sum of coeffs[i] * vectors[i] as a dense vector of length dim; the
+    zero vector when there are no terms."""
+    out = [ZERO] * dim
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for k, x in enumerate(v):
+                if x:
+                    out[k] += c * x
+    return tuple(out)
+
+
 def reduced_echelon(rows: Iterable[dict]) -> dict:
     """Reduced row echelon form of the span of the rows, as
     {pivot column: row}; unique for the span, so it does not depend on

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -211,6 +212,26 @@ def test_split_derivation_outer_part():
 def test_nonsplit_raises():
     with pytest.raises(NonSplit):
         wedderburn(gaussian_field())
+
+
+def gaussian_matrices() -> Algebra:
+    # M2(Q(i)) over the rationals: basis E_rs and i E_rs; its center
+    # Q(i) has no basis element that splits, so random central elements
+    # are tried
+    tbl = {}
+    for r, s, u in product(range(2), repeat=3):
+        for p, q in product(range(2), repeat=2):
+            tbl[((2 * r + s) * 2 + p, (2 * s + u) * 2 + q)] = {
+                (2 * r + u) * 2 + (p + q) % 2: F(-1) if p and q else F(1)}
+    return Algebra(dim=8, basis_labels=tuple(f"b{i}" for i in range(8)),
+                   table=tbl, unit=vec(1, 0, 0, 0, 0, 0, 1, 0))
+
+
+def test_nonsplit_center_raises_nonsplit():
+    a = gaussian_matrices()
+    assert a.associativity_witness() is None and a.unit_witness() is None
+    with pytest.raises(NonSplit):
+        wedderburn(a)
 
 
 def test_quaternions_pass_as_one_block():

@@ -7,12 +7,11 @@ from diffpi import (DiffMonomial, builtin, cocharacter, codim,
                     cycle_type_class_size, hook_dimension, irr_char,
                     module_trace, operator_basis, partitions, support_check,
                     support_violations)
-from diffpi.characters import (multiplicity_rows, permuted_row,
-                               representative)
-from diffpi.codim import monomial_row
+from diffpi.characters import multiplicity_rows, representative
+from diffpi.codim import permuted_row
 from diffpi.errors import IntegrityError
-from diffpi.linalg import coordinates, reduced_echelon
-from test_codim import greedy_quotient
+from diffpi.linalg import RowSpan, coordinates
+from test_codim import greedy_quotient, sweep_row
 
 F = Fraction
 
@@ -87,15 +86,16 @@ def test_hook_dimension_matches_character(n):
 def test_module_trace_identity_class(ut2eps, ut2eps_ob):
     for n in (1, 2, 3):
         r = codim(ut2eps.algebra, ut2eps_ob, n)
-        tr = module_trace(ut2eps.algebra.dim, n, r.quotient_rows)
+        tr = module_trace(ut2eps.algebra.dim, n, r.quotient)
         assert tr[(1,) * n] == r.c_n_L
 
 
 @pytest.mark.parametrize("name,max_n", [("UT2eps", 4), ("M2sl2", 2)])
 def test_relabelled_rows_match_fresh_evaluation(name, max_n):
-    # the closure in codim() and the traces never evaluate a moved
-    # monomial; this is the independent check that moving the digits of
-    # the columns is that evaluation, on a monomial basis of the quotient
+    # the closure in codim(), monomial_row and the traces never evaluate
+    # a moved monomial; this is the independent check, against the dim^n
+    # sweep, that moving the digits of the columns is that evaluation, on
+    # a monomial basis of the quotient
     awd = builtin(name)
     a = awd.algebra
     ob = operator_basis(a, awd.action)
@@ -105,11 +105,11 @@ def test_relabelled_rows_match_fresh_evaluation(name, max_n):
         for mu in partitions(n):
             g = representative(mu, n)
             for mono, row in basis:
-                assert row == monomial_row(a, ob, mono)
+                assert row == sweep_row(a, ob, mono)
                 moved = DiffMonomial(tuple(g[v] for v in mono.perm),
                                      mono.labels)
                 assert permuted_row(row, g, n, a.dim) \
-                    == monomial_row(a, ob, moved)
+                    == sweep_row(a, ob, moved)
 
 
 @pytest.mark.parametrize("name,max_n", [("UT2eps", 4), ("M2sl2", 2)])
@@ -120,21 +120,21 @@ def test_full_codim_ordinary_basis(name, max_n):
     for n in range(1, max_n + 1):
         r = codim(a, ob, n)
         o = codim(a, ob, n, ordinary_only=True)
-        assert reduced_echelon(r.ordinary_rows) \
-            == reduced_echelon(o.quotient_rows)
-        assert len(r.ordinary_rows) == r.c_n_ordinary == o.c_n_L
+        assert r.ordinary.reduced_rows() == o.quotient.reduced_rows()
+        assert r.c_n_ordinary == o.c_n_L
 
 
 @pytest.mark.parametrize("name,max_n", [("UT2eps", 4), ("M2sl2", 2)])
 def test_module_trace_matches_expression_in_quotient_rows(name, max_n):
-    # second route: write each moved quotient row in the basis of the
-    # quotient rows themselves, by the [rows | I] elimination of
-    # coordinates(), and add up the diagonal coefficients
+    # second route: write each moved row of the span's own echelon basis
+    # in that basis, by the [rows | I] elimination of coordinates(), and
+    # add up the diagonal coefficients
     awd = builtin(name)
     a = awd.algebra
     ob = operator_basis(a, awd.action)
     for n in range(1, max_n + 1):
-        rows = codim(a, ob, n).quotient_rows
+        span = codim(a, ob, n).quotient
+        rows = list(span.pivots.values())
         coords = coordinates(rows)
         assert coords is not None
         want = {}
@@ -142,15 +142,18 @@ def test_module_trace_matches_expression_in_quotient_rows(name, max_n):
             g = representative(mu, n)
             want[mu] = sum(coords(permuted_row(row, g, n, a.dim)).get(i, 0)
                            for i, row in enumerate(rows))
-        assert module_trace(a.dim, n, rows) == want
+        assert module_trace(a.dim, n, span) == want
 
 
 def test_module_trace_rejects_rows_that_are_not_a_module(ut2eps, ut2eps_ob):
     r = codim(ut2eps.algebra, ut2eps_ob, 2)
-    moved = permuted_row(r.quotient_rows[0], (1, 0), 2, ut2eps.algebra.dim)
-    assert moved != r.quotient_rows[0]
+    row = next(iter(r.quotient.pivots.values()))
+    moved = permuted_row(row, (1, 0), 2, ut2eps.algebra.dim)
+    assert moved != row
+    one_row = RowSpan()
+    one_row.insert(row)
     with pytest.raises(IntegrityError, match="escaped"):
-        module_trace(ut2eps.algebra.dim, 2, r.quotient_rows[:1])
+        module_trace(ut2eps.algebra.dim, 2, one_row)
 
 
 def test_nested_multiplicities_check_rejects_swapped_traces(ut2eps,
@@ -159,8 +162,8 @@ def test_nested_multiplicities_check_rejects_swapped_traces(ut2eps,
     # m_ordinary <= m_L; swapping the two trace tables breaks that
     n = 3
     r = codim(ut2eps.algebra, ut2eps_ob, n)
-    traces = module_trace(ut2eps.algebra.dim, n, r.quotient_rows)
-    traces_ord = module_trace(ut2eps.algebra.dim, n, r.ordinary_rows)
+    traces = module_trace(ut2eps.algebra.dim, n, r.quotient)
+    traces_ord = module_trace(ut2eps.algebra.dim, n, r.ordinary)
     rows = multiplicity_rows(n, traces, traces_ord)
     assert rows == cocharacter(ut2eps.algebra, ut2eps_ob, n).rows
     with pytest.raises(IntegrityError, match="submodule"):

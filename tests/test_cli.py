@@ -144,6 +144,20 @@ def test_check_identity_verdicts(capsys):
     assert verdicts == [True, False, False]
 
 
+def test_check_identity_degree_12(capsys):
+    # the prefix walk visits only nonzero prefixes; a dim^n sweep of all
+    # 3^12 input tuples per monomial takes minutes here
+    tail = "*".join(f"x{i}" for i in range(3, 13))
+    code, rep, err = run_json(
+        capsys, "check-identity", "UT2eps",
+        "--poly", "x1*x2*" + tail,
+        "--poly", f"[x1,x2]^eps*{tail} - [x1,x2]*{tail}",
+        "--poly", "x1^eps*x2^eps*" + tail)
+    assert code == 0
+    verdicts = [r["identity"] for r in rep["results"]["rows"]]
+    assert verdicts == [False, True, True]
+
+
 def test_consequences_cross_check(capsys, tmp_path):
     g = tmp_path / "gens.txt"
     g.write_text(UT2EPS_GENS_FILE)

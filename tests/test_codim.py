@@ -5,14 +5,79 @@ from itertools import permutations, product
 import pytest
 
 from corpus import corpus
-from diffpi import (DEFAULT_BUDGET, BudgetExceeded, DiffMonomial, builtin,
-                    codim, codim_via_ideal, consequences_cost, evaluate,
-                    evaluation_cost, is_identity, operator_basis,
+from diffpi import (DEFAULT_BUDGET, BudgetExceeded, DiffMonomial, DiffPoly,
+                    builtin, codim, codim_via_ideal, consequences_cost,
+                    evaluate, evaluation_cost, is_identity, operator_basis,
                     parse_diff_poly)
+from diffpi.codim import monomial_row, poly_row
 from diffpi.freediff import mat_apply
 from diffpi.linalg import RowSpan, reduced_echelon, sparse
 
 F = Fraction
+
+
+def sweep_row(a, ob, m):
+    """Reference evaluation row of one monomial: every one of the dim^n
+    input tuples, multiplied out in the monomial's own variable order."""
+    n = len(m.perm)
+    dim = a.dim
+    row = {}
+    for t in product(range(dim), repeat=n):
+        vec = None
+        for p in range(n):
+            img = sparse(mat_apply(ob.ops[m.labels[p]],
+                                   a.basis_vector(t[m.perm[p]])))
+            vec = img if vec is None else a.product(vec, img)
+            if not vec:
+                break
+        else:
+            t_idx = 0
+            for x in t:
+                t_idx = t_idx * dim + x
+            for c, v in vec.items():
+                row[t_idx * dim + c] = v
+    return row
+
+
+def _walk_cases():
+    for name, max_n in (("UT2eps", 4), ("M2sl2", 3)):
+        yield pytest.param(builtin(name), max_n, id=name)
+    for i, awd in enumerate(corpus(6, seed=7)):
+        yield pytest.param(awd, 2, id=f"corpus7.{i}")
+
+
+@pytest.mark.parametrize("awd,max_n", list(_walk_cases()))
+def test_prefix_walk_matches_sweep(awd, max_n):
+    # monomial_row, poly_row/is_identity and evaluate all go through the
+    # prefix step; the dim^n sweep is the independent reference
+    a = awd.algebra
+    ob = operator_basis(a, awd.action)
+    dim = a.dim
+    for n in range(1, max_n + 1):
+        # every variable order, with at most 16 evenly spread label vectors
+        label_vecs = list(product(range(ob.k), repeat=n))
+        label_vecs = label_vecs[::len(label_vecs) // 16 + 1]
+        for perm in permutations(range(n)):
+            poly, want_poly = DiffPoly(n), {}
+            for c, h in enumerate(label_vecs, start=1):
+                m = DiffMonomial(perm, h)
+                want = sweep_row(a, ob, m)
+                assert monomial_row(a, ob, m) == want
+                assert is_identity(DiffPoly(n, {m: F(1)}), a, ob) == (not want)
+                for t in product(range(dim), repeat=n):
+                    t_idx = 0
+                    for x in t:
+                        t_idx = t_idx * dim + x
+                    value = tuple(want.get(t_idx * dim + j, F(0))
+                                  for j in range(dim))
+                    args = [a.basis_vector(x) for x in t]
+                    assert evaluate(DiffPoly(n, {m: F(1)}), args, a, ob) \
+                        == value
+                poly = poly + DiffPoly(n, {m: F(c)})
+                for col, v in want.items():
+                    want_poly[col] = want_poly.get(col, F(0)) + c * v
+            assert poly_row(a, ob, poly) \
+                == {col: v for col, v in want_poly.items() if v}
 
 
 def greedy_quotient(a, ob, n, labels=None):
@@ -81,10 +146,8 @@ def test_codim_matches_greedy_route(awd, n):
     ref = [row for _, row in greedy_quotient(a, ob, n)]
     ref_ord = [row for _, row in greedy_quotient(a, ob, n, labels=(0,))]
     assert (r.c_n_L, r.c_n_ordinary) == (len(ref), len(ref_ord))
-    assert len(r.quotient_rows) == r.c_n_L
-    assert len(r.ordinary_rows) == r.c_n_ordinary
-    assert reduced_echelon(r.quotient_rows) == reduced_echelon(ref)
-    assert reduced_echelon(r.ordinary_rows) == reduced_echelon(ref_ord)
+    assert r.quotient.reduced_rows() == reduced_echelon(ref)
+    assert r.ordinary.reduced_rows() == reduced_echelon(ref_ord)
 
 # frozen oracle values for UT2eps, re-derived by independent brute
 # force before the evaluation code existed (scripts/bruteforce_ut2.py)
@@ -97,7 +160,6 @@ def test_ut2eps_codimensions(ut2eps, ut2eps_ob, n):
     r = codim(ut2eps.algebra, ut2eps_ob, n)
     assert r.c_n_L == UT2EPS_C_L[n]
     assert r.c_n_ordinary == UT2EPS_C[n]
-    assert len(r.quotient_rows) == r.c_n_L
 
 
 def test_field_codimensions():
@@ -140,9 +202,8 @@ def test_ordinary_only_matches_full_ordinary_quotient(m2sl2, m2sl2_ob, n,
     # no label other than the identity is evaluated
     assert applied and all(m == m2sl2_ob.ops[0] for m in applied)
     assert r.c_n_L == r.c_n_ordinary == full.c_n_ordinary
-    assert r.quotient_rows == r.ordinary_rows
-    assert reduced_echelon(r.ordinary_rows) \
-        == reduced_echelon(full.ordinary_rows)
+    assert r.quotient is r.ordinary
+    assert r.ordinary.reduced_rows() == full.ordinary.reduced_rows()
 
 
 def test_codim_rejects_degree_zero(ut2eps, ut2eps_ob):
@@ -167,6 +228,17 @@ def test_evaluate_concrete(ut2eps, ut2eps_ob):
     assert evaluate(p, [e11, e11], a, ut2eps_ob) == (F(0),) * 3
     q = parse_diff_poly("x1^eps", ut2eps_ob)
     assert evaluate(q, [e12], a, ut2eps_ob) == e12
+
+
+def test_evaluate_rejects_malformed_arguments(ut2eps, ut2eps_ob):
+    a = ut2eps.algebra
+    p = parse_diff_poly("x1*x2", ut2eps_ob)
+    e12 = a.basis_vector(2)
+    with pytest.raises(ValueError, match="coordinates"):
+        evaluate(p, [(1, 0), e12], a, ut2eps_ob)
+    with pytest.raises(TypeError):
+        evaluate(p, [(1.5, 0, 0), e12], a, ut2eps_ob)
+    assert evaluate(p, [(1, "1/2", 0), e12], a, ut2eps_ob) == e12
 
 
 def test_is_identity_generators(ut2eps, ut2eps_ob, ut2eps_gens):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diffpi import linalg
 from diffpi.linalg import (RowSpan, as_scalar, coordinates, nullspace,
                            solve)
 
@@ -63,6 +64,13 @@ def test_solve_underdetermined_has_zero_free_vars():
     x = solve(m, [F(5)])
     assert x is not None
     assert sum(x) == 5
+
+
+def test_dense_combine():
+    assert linalg.combine([], [], 3) == (F(0),) * 3
+    vectors = dense([[1, 0, 2], [5, 5, 5], [0, 1, 0]])
+    assert linalg.combine([F(2), F(0), F(-1, 2)], vectors, 3) \
+        == (F(2), F(-1, 2), F(4))
 
 
 def test_as_scalar_rejects_float():
