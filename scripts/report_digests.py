@@ -37,6 +37,7 @@ CALLS = (
     ["classify", "UT2eps"],
     ["consequences", "UT2eps", "--gens", "gens.txt", "--n", "4", "--check"],
     ["exponent", "UTk(6)"],
+    ["exponent", "UTk(5)+UTk(4)"],
     ["decompose", "UT2eps"],
     ["check-identity", "UT2eps", "--poly", "x1^eps*x2^eps",
      "--poly", "[x1,x2]"],

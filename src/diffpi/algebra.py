@@ -447,7 +447,6 @@ def _split_blocks(q: Algebra, rng: random.Random) -> list[list[Vector]]:
             tried += 1
             # matrix of multiplication by z on the center
             mat = []
-            ok = True
             for c in center:
                 img = q.multiply(z, c)
                 combo = coords(sparse(img))

@@ -33,7 +33,7 @@ from math import comb, factorial
 from typing import Optional, Sequence
 
 from .algebra import Algebra
-from .errors import BudgetExceeded, NotMultilinear
+from .errors import BudgetExceeded
 from .freediff import (DiffMonomial, DiffPoly, OperatorBasis, adjacent_swaps,
                        consequences, mat_apply, validate_multilinear)
 from .linalg import ZERO, RowSpan, as_scalar, sparse

@@ -11,30 +11,25 @@ all routes is what the test suite pins down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log2
 from typing import Optional, Sequence
 
 from .algebra import (Algebra, AlgebraWithDerivations, Derivation,
-                      DerivationAction, WedderburnData, check_l_stability,
-                      make_action, wedderburn)
+                      WedderburnData, check_l_stability, make_action,
+                      wedderburn)
 from .characters import cocharacter, support_check, support_violations
 from .errors import BudgetExceeded, IntegrityError, NotPolynomialGrowth
 from .freediff import mat_apply, operator_basis
-from .linalg import ZERO, RowSpan, coordinates, sparse
+from .linalg import ZERO, coordinates, reduced_echelon, sparse
 
 
 def _span_products(a: Algebra, left: Sequence[dict],
                    right: Sequence[dict]) -> list[dict]:
-    """Basis of span{u v : u in left, v in right}, as sparse vectors."""
-    span = RowSpan()
-    out = []
-    for u in left:
-        for v in right:
-            w = a.product(u, v)
-            if span.insert(w):
-                out.append(w)
-    return out
+    """Reduced echelon basis of span{u v : u in left, v in right}, in
+    pivot order: the same rows for the same span."""
+    rref = reduced_echelon(a.product(u, v) for u in left for v in right)
+    return [rref[c] for c in sorted(rref)]
 
 
 def exponent(a: Algebra, wd: Optional[WedderburnData] = None,
@@ -42,29 +37,45 @@ def exponent(a: Algebra, wd: Optional[WedderburnData] = None,
     """PI exponent from the block structure.
 
     Maximum of dim(A_{i1}) + ... + dim(A_{ik}) over sequences of
-    distinct blocks whose alternating products with the radical do not
-    vanish; zero when there are no blocks (nilpotent algebra).
+    distinct blocks with A_{i1} J A_{i2} J ... J A_{ik} != 0; zero when
+    there are no blocks (nilpotent algebra).
+
+    A depth-first search over the product spans S = A_{i1} J ... J A_{ik}.
+    The successors (i, S J A_i != 0) of each distinct span are computed
+    once per call, memoised on its reduced echelon basis. As
+    S J A_i J ⊆ S J, only successor blocks can extend S, so a branch
+    stops when its total plus their unused dimensions cannot beat the
+    best; the search stops once the best uses every block. The worst
+    case stays exponential: this is a longest simple path problem.
     """
     if wd is None:
         wd = wedderburn(a, seed=seed)
     blocks = [[sparse(v) for v in bb] for bb in wd.block_bases]
-    if not blocks:
-        return 0
     rad = [sparse(v) for v in wd.radical_basis]
+    full = sum(len(bb) for bb in blocks)
     best = 0
+    memo: dict = {}
 
-    def extend(span_vecs: list, used: frozenset, total: int):
+    def successors(span: list) -> list:
+        # a block basis keys its start span, which no product span in J equals
+        key = tuple(tuple(sorted(row.items())) for row in span)
+        if key not in memo:
+            through = _span_products(a, span, rad)
+            memo[key] = [(i, nxt) for i, bb in enumerate(blocks) if through
+                         and (nxt := _span_products(a, through, bb))]
+        return memo[key]
+
+    def extend(span: list, used: frozenset, total: int):
         nonlocal best
         best = max(best, total)
-        through = _span_products(a, span_vecs, rad) if rad else []
-        if not through:
+        if best == full:
             return
-        for i, bb in enumerate(blocks):
-            if i in used:
-                continue
-            nxt = _span_products(a, through, bb)
-            if nxt:
-                extend(nxt, used | {i}, total + len(bb))
+        nxt = [(i, s) for i, s in successors(span) if i not in used]
+        reach = total + sum(len(blocks[i]) for i, _ in nxt)
+        for i, s in nxt:
+            if reach <= best:
+                return
+            extend(s, used | {i}, total + len(blocks[i]))
 
     for i, bb in enumerate(blocks):
         extend(bb, frozenset([i]), len(bb))

@@ -121,6 +121,15 @@ def test_exponent_and_witness(capsys):
     assert rep["results"]["witness"] is None
 
 
+def test_exponent_utk15(capsys):
+    code, rep, err = run_json(capsys, "exponent", "UTk(15)")
+    assert code == 0
+    res = rep["results"]
+    assert res["exponent"] == 15
+    assert res["block_dims"] == [1] * 15
+    assert res["radical_dim"] == 105
+
+
 def test_classify_report(capsys):
     code, rep, err = run_json(capsys, "classify", "UT2eps",
                               "--cocharacter-depth", "2")

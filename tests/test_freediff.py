@@ -10,8 +10,8 @@ from diffpi import (CapExceeded, DiffPoly, DiffSyntaxError, NotMultilinear,
                     consequences, derive_poly, format_diff_poly,
                     operator_basis, parse_diff_poly, sn_act,
                     validate_multilinear)
-from diffpi.freediff import (DiffMonomial, _poly_row, apply_word,
-                             monomial_index, perm_rank)
+from diffpi.freediff import (DiffMonomial, _poly_row, adjacent_swaps,
+                             apply_word, monomial_index, perm_rank)
 from diffpi.linalg import RowSpan
 
 F = Fraction
@@ -218,13 +218,11 @@ def _all_orders_consequences(gens, n, ob) -> dict:
                         term = term * mono(cuts[d], n)
                         inst = inst + term.scale(gc)
                     push(inst)
-    swaps = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
-             for i in range(n - 1)]
     while queue:
         p = queue.pop()
         for g in range(len(ob.gen_names)):
             push(derive_poly(g, p, ob))
-        for sw in swaps:
+        for sw in adjacent_swaps(n):
             push(sn_act(sw, p))
     return span.reduced_rows()
 

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import random_split_algebra, truncated_poly
+from corpus import (_plain_sum, cells_algebra, random_split_algebra,
+                    truncated_poly)
 from diffpi import (Algebra, AlgebraWithDerivations, Derivation,
                     NotPolynomialGrowth,
                     block_sum_split, builtin, classify, codim,
                     detect_ut2_pattern, direct_sum, exponent, make_action,
                     operator_basis, wedderburn)
+from diffpi import growth
+from diffpi.linalg import RowSpan, sparse
 from test_algebra import quaternions
 
 F = Fraction
@@ -169,3 +172,109 @@ def test_utk_structure_under_signed_permutation(k):
     # dimension k - i
     dims = [len(p) for p in wd.radical_power_bases] + [0]
     assert [d - e for d, e in zip(dims, dims[1:])] == list(range(k - 1, 0, -1))
+
+
+def _exhaustive_span_products(a, left, right) -> list:
+    span = RowSpan()
+    out = []
+    for u in left:
+        for v in right:
+            w = a.product(u, v)
+            if span.insert(w):
+                out.append(w)
+    return out
+
+
+def exhaustive_exponent(a: Algebra, wd) -> int:
+    """Reference route: every chain of distinct blocks, with the product
+    span rebuilt from scratch along each chain; no memo and no bound."""
+    blocks = [[sparse(v) for v in bb] for bb in wd.block_bases]
+    if not blocks:
+        return 0
+    rad = [sparse(v) for v in wd.radical_basis]
+    best = 0
+
+    def extend(span_vecs: list, used: frozenset, total: int):
+        nonlocal best
+        best = max(best, total)
+        through = _exhaustive_span_products(a, span_vecs, rad) if rad else []
+        if not through:
+            return
+        for i, bb in enumerate(blocks):
+            if i in used:
+                continue
+            nxt = _exhaustive_span_products(a, through, bb)
+            if nxt:
+                extend(nxt, used | {i}, total + len(bb))
+
+    for i, bb in enumerate(blocks):
+        extend(bb, frozenset([i]), len(bb))
+    return best
+
+
+def two_cycle_quiver() -> Algebra:
+    """Path algebra of the quiver 1 -a-> 2 -b-> 1 modulo paths of length
+    at least 3, on the basis e1, e2, a, b, ab, ba (paths read left to
+    right). The radical path graph is the 2-cycle 1 -> 2 -> 1, and
+    e1 J e2 J e1 contains ab, so only the distinct-blocks rule keeps
+    the exponent at 2."""
+    e1, e2, pa, pb, ab, ba = range(6)
+    prods = [(e1, e1, e1), (e2, e2, e2), (e1, pa, pa), (pa, e2, pa),
+             (e2, pb, pb), (pb, e1, pb), (pa, pb, ab), (pb, pa, ba),
+             (e1, ab, ab), (ab, e1, ab), (e2, ba, ba), (ba, e2, ba)]
+    table = {(i, j): {k: F(1)} for i, j, k in prods}
+    return Algebra(dim=6, basis_labels=("e1", "e2", "a", "b", "ab", "ba"),
+                   table=table, unit=(F(1), F(1), Z, Z, Z, Z))
+
+
+def _differential_cases():
+    for seed in range(60):
+        yield pytest.param(random_split_algebra(seed).algebra,
+                           id=f"corpus-{seed}")
+    for k in range(3, 8):
+        base = builtin(f"UTk({k})").algebra
+        rng = random.Random(100 + k)
+        perm = list(range(base.dim))
+        rng.shuffle(perm)
+        signs = [rng.choice((1, -1)) for _ in perm]
+        yield pytest.param(signed_permutation(base, perm, signs),
+                           id=f"signed-UTk({k})")
+    for name in ("UTk(5)+UTk(4)", "UTk(3)+Mk(2)", "UT2eps+UT2eps"):
+        yield pytest.param(builtin(name).algebra, id=name)
+    yield pytest.param(two_cycle_quiver(), id="two-cycle-quiver")
+    # a third block keeps the search going past the 2-cycle, where a
+    # chain that reuses a block would reach 3
+    yield pytest.param(_plain_sum(two_cycle_quiver(),
+                                  cells_algebra([(0, 0)])),
+                       id="two-cycle-quiver+F")
+
+
+@pytest.mark.parametrize("a", list(_differential_cases()))
+def test_exponent_matches_exhaustive_search(a):
+    wd = wedderburn(a)
+    assert exponent(a, wd) == exhaustive_exponent(a, wd)
+
+
+def test_two_cycle_quiver_exponent():
+    a = two_cycle_quiver()
+    assert a.associativity_witness() is None
+    wd = wedderburn(a)
+    assert wd.block_dims == (1, 1)
+    assert sorted(wd.radical_path_graph) == [(0, 1), (1, 0)]
+    assert exponent(a, wd) == 2
+
+
+def test_exponent_span_products_are_polynomial(monkeypatch):
+    # the exhaustive search makes 8180 span products on UTk(11)
+    a = builtin("UTk(11)").algebra
+    wd = wedderburn(a)
+    calls = []
+    inner = growth._span_products
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(growth, "_span_products", counted)
+    assert exponent(a, wd) == 11
+    assert len(calls) <= 2 * 11 ** 2
