@@ -21,15 +21,20 @@ from .algebra import (Algebra, AlgebraWithDerivations, Derivation,
 from .characters import cocharacter, support_check, support_violations
 from .errors import BudgetExceeded, IntegrityError, NotPolynomialGrowth
 from .freediff import mat_apply, operator_basis
-from .linalg import ZERO, coordinates, reduced_echelon, sparse
+from .linalg import ZERO, RowSpan, coordinates, sparse
 
 
 def _span_products(a: Algebra, left: Sequence[dict],
                    right: Sequence[dict]) -> list[dict]:
-    """Reduced echelon basis of span{u v : u in left, v in right}, in
-    pivot order: the same rows for the same span."""
-    rref = reduced_echelon(a.product(u, v) for u in left for v in right)
-    return [rref[c] for c in sorted(rref)]
+    """Basis of span{u v : u in left, v in right}, as sparse vectors."""
+    span = RowSpan()
+    out = []
+    for u in left:
+        for v in right:
+            w = a.product(u, v)
+            if span.insert(w):
+                out.append(w)
+    return out
 
 
 def exponent(a: Algebra, wd: Optional[WedderburnData] = None,
@@ -41,12 +46,11 @@ def exponent(a: Algebra, wd: Optional[WedderburnData] = None,
     there are no blocks (nilpotent algebra).
 
     A depth-first search over the product spans S = A_{i1} J ... J A_{ik}.
-    The successors (i, S J A_i != 0) of each distinct span are computed
-    once per call, memoised on its reduced echelon basis. As
-    S J A_i J ⊆ S J, only successor blocks can extend S, so a branch
-    stops when its total plus their unused dimensions cannot beat the
-    best; the search stops once the best uses every block. The worst
-    case stays exponential: this is a longest simple path problem.
+    As S J A_i J ⊆ S J, only successor blocks (S J A_i != 0) can extend
+    S, so a branch stops when its total plus their unused dimensions
+    cannot beat the best, and the search stops once the best uses every
+    block. The worst case stays exponential: this is a longest simple
+    path problem.
     """
     if wd is None:
         wd = wedderburn(a, seed=seed)
@@ -54,23 +58,17 @@ def exponent(a: Algebra, wd: Optional[WedderburnData] = None,
     rad = [sparse(v) for v in wd.radical_basis]
     full = sum(len(bb) for bb in blocks)
     best = 0
-    memo: dict = {}
-
-    def successors(span: list) -> list:
-        # a block basis keys its start span, which no product span in J equals
-        key = tuple(tuple(sorted(row.items())) for row in span)
-        if key not in memo:
-            through = _span_products(a, span, rad)
-            memo[key] = [(i, nxt) for i, bb in enumerate(blocks) if through
-                         and (nxt := _span_products(a, through, bb))]
-        return memo[key]
 
     def extend(span: list, used: frozenset, total: int):
         nonlocal best
         best = max(best, total)
         if best == full:
             return
-        nxt = [(i, s) for i, s in successors(span) if i not in used]
+        through = _span_products(a, span, rad)
+        if not through:
+            return
+        nxt = [(i, s) for i, bb in enumerate(blocks)
+               if i not in used and (s := _span_products(a, through, bb))]
         reach = total + sum(len(blocks[i]) for i, _ in nxt)
         for i, s in nxt:
             if reach <= best:

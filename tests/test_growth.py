@@ -265,7 +265,8 @@ def test_two_cycle_quiver_exponent():
 
 
 def test_exponent_span_products_are_polynomial(monkeypatch):
-    # the exhaustive search makes 8180 span products on UTk(11)
+    # the exhaustive search makes 8180 span products on UTk(11), the
+    # bounded one 65
     a = builtin("UTk(11)").algebra
     wd = wedderburn(a)
     calls = []
