@@ -8,10 +8,12 @@ imported from the src/ next to this script, so
 
 run in two checkouts compares them. Each line is the digest, the exit
 code and the command. The calls run in a temporary directory that holds
-the generators file, so no report depends on where the checkout is.
+the generators file and the algebra file, so no report depends on where
+the checkout is.
 """
 
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -26,6 +28,18 @@ GENERATORS = """\
 x1^eps*x2^eps
 x1^epseps - x1^eps
 """
+
+# F[t]/(t^2) on the skewed basis u0 = 1 + t, u1 = t, with d = t d/dt:
+# the coordinate section u0 is not multiplicative, so the lifted section
+# is corrected (to 1 = u0 - u1), and d is outer on the complement
+SKEWED = {
+    "dim": 2,
+    "basis": ["u0", "u1"],
+    "table": [[0, 0, [[0, "1"], [1, "1"]]], [0, 1, [[1, "1"]]],
+              [1, 0, [[1, "1"]]]],
+    "unit": ["1", "-1"],
+    "derivations": [{"name": "d", "matrix": [["0", "0"], ["1", "1"]]}],
+}
 
 CALLS = (
     ["codim", "UT2eps", "--max-n", "6"],
@@ -42,6 +56,8 @@ CALLS = (
     ["check-identity", "UT2eps", "--poly", "x1^eps*x2^eps",
      "--poly", "[x1,x2]"],
     ["validate", "UT2eps"],
+    ["decompose", "skewed.json"],
+    ["exponent", "skewed.json"],
 )
 
 
@@ -53,6 +69,8 @@ def digests() -> list:
         os.chdir(tmp)
         try:
             Path("gens.txt").write_text(GENERATORS, encoding="utf-8")
+            Path("skewed.json").write_text(json.dumps(SKEWED),
+                                           encoding="utf-8")
             for call in CALLS:
                 report = Path("report.json")
                 report.unlink(missing_ok=True)

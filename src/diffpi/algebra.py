@@ -8,10 +8,10 @@ section lifting the quotient back into the algebra (so block idempotents
 are exact), and the decomposition of a derivation into an inner part and
 a remainder vanishing on the lifted complement.
 
-Hot loops carry sparse vectors, dicts {index: Fraction} holding only
-the nonzero coordinates, and multiply them with Algebra.product, the one
-multiplication loop. Algebra.multiply is its dense wrapper for callers
-that hold coordinate tuples.
+Every algebra element is a sparse vector, a dict {index: Fraction}
+holding only the nonzero coordinates; Algebra.product is the one
+multiplication loop. Dense coordinates appear only where data enters:
+the declared unit and the rows of a derivation matrix.
 
 All searches are deterministic given the seed; the returned data never
 depends on dict iteration order.
@@ -28,15 +28,11 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import (IntegrityError, InvariantViolation, NonSplit,
                      UnknownBuiltin)
-from .freediff import _mat_flat, mat_apply, mat_identity
+from .freediff import _mat_flat, mat_apply, mat_identity, mat_mul
 from .linalg import (ONE, ZERO, RowSpan, as_scalar, combine, coordinates,
                      nullspace, reduced_echelon, solve, sparse)
 
-Vector = tuple
-
-
-def _tupvec(v) -> Vector:
-    return tuple(as_scalar(x) for x in v)
+Vector = dict  # sparse: {index: Fraction}, nonzero entries only
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,7 @@ class Algebra:
     dim: int
     basis_labels: tuple
     table: dict
-    unit: Optional[Vector] = None
+    unit: Optional[tuple] = None  # dense coordinates, as declared
 
     def __post_init__(self):
         if len(self.basis_labels) != self.dim:
@@ -67,13 +63,17 @@ class Algebra:
                         out[k] = out.get(k, ZERO) + c * w
         return {k: x for k, x in out.items() if x}
 
-    def multiply(self, u: Sequence, v: Sequence) -> Vector:
-        """Product of dense coordinate vectors, through product()."""
+    def bracket(self, u: dict, v: dict) -> dict:
+        """The commutator u v - v u of sparse vectors."""
+        return combine({0: ONE, 1: -ONE}, (self.product(u, v),
+                                           self.product(v, u)))
+
+    def multiply(self, u: Sequence, v: Sequence) -> tuple:
+        """Product of dense coordinate vectors, through product(). No
+        caller in the library uses it; it stays because the benchmark's
+        tracer counts calls to Algebra.multiply by that name."""
         w = self.product(sparse(u), sparse(v))
         return tuple(w.get(k, ZERO) for k in range(self.dim))
-
-    def basis_vector(self, i: int) -> Vector:
-        return tuple(ONE if j == i else ZERO for j in range(self.dim))
 
     def associativity_witness(self):
         """First basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k),
@@ -93,9 +93,10 @@ class Algebra:
         """Basis index where the declared unit fails, or None."""
         if self.unit is None:
             return None
+        unit = sparse(self.unit)
         for i in range(self.dim):
-            e = self.basis_vector(i)
-            if self.multiply(self.unit, e) != e or self.multiply(e, self.unit) != e:
+            e = {i: ONE}
+            if self.product(unit, e) != e or self.product(e, unit) != e:
                 return i
         return None
 
@@ -109,27 +110,22 @@ class Derivation:
 
     def leibniz_witness(self, a: Algebra):
         """First basis pair (i, j) violating d(xy) = d(x)y + x d(y), or None."""
-        vecs = [a.basis_vector(i) for i in range(a.dim)]
+        vecs = [{i: ONE} for i in range(a.dim)]
         img = [mat_apply(self.matrix, v) for v in vecs]
         for i in range(a.dim):
             for j in range(a.dim):
-                lhs = mat_apply(self.matrix, a.multiply(vecs[i], vecs[j]))
-                rhs = tuple(x + y for x, y in zip(
-                    a.multiply(img[i], vecs[j]), a.multiply(vecs[i], img[j])))
+                lhs = mat_apply(self.matrix, a.product(vecs[i], vecs[j]))
+                rhs = combine({0: ONE, 1: ONE}, (a.product(img[i], vecs[j]),
+                                                 a.product(vecs[i], img[j])))
                 if lhs != rhs:
                     return (i, j)
         return None
 
 
-def inner_derivation(a: Algebra, x: Sequence, name: str = "ad") -> Derivation:
+def inner_derivation(a: Algebra, x: dict, name: str = "ad") -> Derivation:
     """The commutator map v -> x v - v x."""
-    x = _tupvec(x)
-    cols = []
-    for j in range(a.dim):
-        e = a.basis_vector(j)
-        cols.append(tuple(p - q for p, q in
-                          zip(a.multiply(x, e), a.multiply(e, x))))
-    matrix = tuple(tuple(cols[j][i] for j in range(a.dim))
+    cols = [a.bracket(x, {j: ONE}) for j in range(a.dim)]
+    matrix = tuple(tuple(cols[j].get(i, ZERO) for j in range(a.dim))
                    for i in range(a.dim))
     return Derivation(name=name, matrix=matrix)
 
@@ -147,11 +143,8 @@ class DerivationAction(NamedTuple):
 
 
 def _commutator(x, y):
-    n = len(x)
-    def cell(i, j):
-        return sum((x[i][k] * y[k][j] - y[i][k] * x[k][j] for k in range(n)),
-                   ZERO)
-    return tuple(tuple(cell(i, j) for j in range(n)) for i in range(n))
+    return tuple(tuple(p - q for p, q in zip(r, s))
+                 for r, s in zip(mat_mul(x, y), mat_mul(y, x)))
 
 
 def make_action(a: Algebra, gens: Sequence[Derivation]) -> DerivationAction:
@@ -221,10 +214,10 @@ def check_l_stability(a: Algebra, act: DerivationAction,
     """True iff every generating derivation maps the subspace into itself."""
     span = RowSpan()
     for v in subspace:
-        span.insert(sparse(v))
+        span.insert(v)
     for d in act.generators:
         for v in subspace:
-            if not span.contains(sparse(mat_apply(d.matrix, v))):
+            if not span.contains(mat_apply(d.matrix, v)):
                 return False
     return True
 
@@ -248,8 +241,7 @@ def radical(a: Algebra) -> list[Vector]:
             row.append(sum((v * t[k] for k, v in prod.items()), ZERO))
         rows.append(row)
     rows.append(list(t))
-    basis = nullspace(rows)
-    return [tuple(v) for v in basis]
+    return nullspace(rows)
 
 
 def radical_powers(a: Algebra, rad: Sequence[Vector]) -> list[list[Vector]]:
@@ -259,11 +251,9 @@ def radical_powers(a: Algebra, rad: Sequence[Vector]) -> list[list[Vector]]:
     cannot happen for an associative input.
     """
     powers = []
-    rad = [sparse(v) for v in rad]
-    current = rad
+    current = list(rad)
     while current:
-        powers.append([tuple(w.get(i, ZERO) for i in range(a.dim))
-                       for w in current])
+        powers.append(current)
         span = RowSpan()
         nxt = []
         for u in rad:
@@ -285,7 +275,7 @@ class WedderburnData(NamedTuple):
     block of A/J; block_idempotents[i] is its unit, an exact idempotent.
     complement_basis concatenates the block bases; together with the
     radical it spans A. radical_path_graph holds pairs (i, j), i != j,
-    with 1_i J 1_j != 0.
+    with 1_i J 1_j != 0. Every vector is sparse.
     """
 
     radical_basis: tuple
@@ -298,48 +288,43 @@ class WedderburnData(NamedTuple):
     radical_power_bases: tuple
 
 
+def _residue(v: Vector, rref: dict) -> Vector:
+    """The canonical representative of v modulo the span of the reduced
+    echelon rows {pivot: row}: v minus its pivot entries times the rows,
+    each row being 0 at every other pivot."""
+    return combine({0: ONE, **{i: -v[c] for i, c in enumerate(rref, 1)
+                               if c in v}}, (v, *rref.values()))
+
+
 def _quotient(a: Algebra, rad: Sequence[Vector]):
     """Quotient algebra A / span(rad) with canonical coordinate reps.
 
-    Returns (quotient Algebra, rep column indices, project) where
-    project maps an A vector to quotient coordinates.
+    Returns (quotient Algebra, rep column indices): quotient basis
+    vector i is the class of e_{reps[i]}.
     """
-    piv = reduced_echelon(sparse(v) for v in rad)
+    piv = reduced_echelon(rad)
     reps = [c for c in range(a.dim) if c not in piv]
-
-    def project(v: Sequence) -> Vector:
-        v = list(v)
-        for c, row in piv.items():
-            f = v[c]
-            if f:
-                for j, w in row.items():
-                    v[j] -= f * w
-        return tuple(v[c] for c in reps)
 
     m = len(reps)
     table = {}
     for i in range(m):
         for j in range(m):
-            prod = project(a.multiply(a.basis_vector(reps[i]),
-                                      a.basis_vector(reps[j])))
-            entries = {k: v for k, v in enumerate(prod) if v}
-            if entries:
-                table[(i, j)] = entries
-    unit = None
+            w = _residue(a.product({reps[i]: ONE}, {reps[j]: ONE}), piv)
+            prod = {k: w[c] for k, c in enumerate(reps) if c in w}
+            if prod:
+                table[(i, j)] = prod
     labels = tuple(a.basis_labels[c] for c in reps)
-    q = Algebra(dim=m, basis_labels=labels, table=table, unit=unit)
-    return q, reps, project
+    return Algebra(dim=m, basis_labels=labels, table=table), reps
 
 
 def _subspace_center(q: Algebra, piece: Sequence[Vector]) -> list[Vector]:
     """Central elements of the span of piece, as vectors in q coords."""
     rows = []
     for p in piece:
-        comm = [[x - y for x, y in zip(q.multiply(b, p), q.multiply(p, b))]
-                for b in piece]
+        comm = [q.bracket(b, p) for b in piece]
         for c in range(q.dim):
-            rows.append([w[c] for w in comm])
-    return [combine(coeffs, piece, q.dim) for coeffs in nullspace(rows)]
+            rows.append([w.get(c, ZERO) for w in comm])
+    return [combine(coeffs, piece) for coeffs in nullspace(rows)]
 
 
 def _minpoly(mat: list[list[Fraction]]) -> list[Fraction]:
@@ -348,15 +333,13 @@ def _minpoly(mat: list[list[Fraction]]) -> list[Fraction]:
     polynomial is t^d - sum c_i t^i, the form that _rational_roots and
     _fully_splits read.
     """
-    n = len(mat)
-    powers = [_mat_flat(mat_identity(n))]
+    powers = [_mat_flat(mat_identity(len(mat)))]
     span = RowSpan()
     span.insert(powers[0])
     power, flat = mat, _mat_flat(mat)
     while span.insert(flat):
         powers.append(flat)
-        power = [[sum((mat[i][l] * power[l][j] for l in range(n)), ZERO)
-                  for j in range(n)] for i in range(n)]
+        power = mat_mul(mat, power)
         flat = _mat_flat(power)
     combo = coordinates(powers)(flat)
     return [combo.get(i, ZERO) for i in range(len(powers))]
@@ -434,7 +417,7 @@ def _split_blocks(q: Algebra, rng: random.Random) -> list[list[Vector]]:
         center = _subspace_center(q, piece)
         if len(center) <= 1:
             return [piece]
-        coords = coordinates([sparse(z) for z in center])
+        coords = coordinates(center)
         candidates = list(center)
         budget = 8
         tried = 0
@@ -442,14 +425,13 @@ def _split_blocks(q: Algebra, rng: random.Random) -> list[list[Vector]]:
             if candidates:
                 z = candidates.pop(0)
             else:
-                z = combine([Fraction(rng.randint(-3, 3)) for _ in center],
-                            center, q.dim)
+                z = combine({i: Fraction(rng.randint(-3, 3))
+                             for i in range(len(center))}, center)
             tried += 1
             # matrix of multiplication by z on the center
             mat = []
             for c in center:
-                img = q.multiply(z, c)
-                combo = coords(sparse(img))
+                combo = coords(q.product(z, c))
                 if combo is None:
                     raise IntegrityError("center not closed under product")
                 mat.append([combo.get(i, ZERO) for i in range(len(center))])
@@ -461,13 +443,13 @@ def _split_blocks(q: Algebra, rng: random.Random) -> list[list[Vector]]:
                 continue
             pieces = []
             total = 0
-            zp = [q.multiply(z, b) for b in piece]
+            zp = [q.product(z, b) for b in piece]
             for r in roots:
                 rows = []
                 for c in range(q.dim):
-                    rows.append([w[c] - r * b[c] for w, b in zip(zp, piece)])
-                sub = [combine(coeffs, piece, q.dim)
-                       for coeffs in nullspace(rows)]
+                    rows.append([w.get(c, ZERO) - r * b.get(c, ZERO)
+                                 for w, b in zip(zp, piece)])
+                sub = [combine(coeffs, piece) for coeffs in nullspace(rows)]
                 if sub:
                     pieces.append(sub)
                     total += len(sub)
@@ -482,8 +464,7 @@ def _split_blocks(q: Algebra, rng: random.Random) -> list[list[Vector]]:
 
     if q.dim == 0:
         return []
-    whole = [q.basis_vector(i) for i in range(q.dim)]
-    return split(whole)
+    return split([{i: ONE} for i in range(q.dim)])
 
 
 def _block_unit(q: Algebra, block: list[Vector]) -> Vector:
@@ -492,17 +473,17 @@ def _block_unit(q: Algebra, block: list[Vector]) -> Vector:
     rows = []
     rhs = []
     for b in block:
-        left = [q.multiply(block[i], b) for i in range(m)]
-        right = [q.multiply(b, block[i]) for i in range(m)]
+        left = [q.product(block[i], b) for i in range(m)]
+        right = [q.product(b, block[i]) for i in range(m)]
         for c in range(q.dim):
-            rows.append([left[i][c] for i in range(m)])
-            rhs.append(b[c])
-            rows.append([right[i][c] for i in range(m)])
-            rhs.append(b[c])
+            rows.append([left[i].get(c, ZERO) for i in range(m)])
+            rhs.append(b.get(c, ZERO))
+            rows.append([right[i].get(c, ZERO) for i in range(m)])
+            rhs.append(b.get(c, ZERO))
     sol = solve(rows, rhs)
     if sol is None:
         raise IntegrityError("block has no unit; split produced a non-ideal")
-    return combine(sol, block, q.dim)
+    return combine(sol, block)
 
 
 def _lift_section(a: Algebra, q: Algebra, reps: list[int],
@@ -514,46 +495,38 @@ def _lift_section(a: Algebra, q: Algebra, reps: list[int],
     of J deeper, and a linear solve (always consistent, the quotient
     being separable) removes it modulo the next power.
     """
-    dim, m = a.dim, q.dim
-    sec = [a.basis_vector(c) for c in reps]
-    qprod = {}
-    for al in range(m):
-        for be in range(m):
-            qprod[(al, be)] = q.multiply(q.basis_vector(al), q.basis_vector(be))
+    m = q.dim
+    sec = [{c: ONE} for c in reps]
+    qprod = {(al, be): q.product({al: ONE}, {be: ONE})
+             for al in range(m) for be in range(m)}
 
     nil = len(jpowers) + 1  # q index: J^nil = 0
     for k in range(1, nil):
-        defects = {}
-        clean = True
-        for al in range(m):
-            for be in range(m):
-                d = tuple(x - y for x, y in zip(
-                    combine(qprod[(al, be)], sec, dim),
-                    a.multiply(sec[al], sec[be])))
-                defects[(al, be)] = d
-                if any(d):
-                    clean = False
-        if clean:
+        defects = {(al, be): combine({0: ONE, 1: -ONE},
+                                     (combine(qprod[(al, be)], sec),
+                                      a.product(sec[al], sec[be])))
+                   for al in range(m) for be in range(m)}
+        if not any(defects.values()):
             return sec
         jk = jpowers[k - 1]
         jk1 = jpowers[k] if k < len(jpowers) else []
         span_k = RowSpan()
         for v in jk1:
-            span_k.insert(sparse(v))
-        lifts = [v for v in jk if span_k.insert(sparse(v))]
+            span_k.insert(v)
+        lifts = [v for v in jk if span_k.insert(v)]
         T, low = len(lifts), len(jk1)
-        coords = coordinates([sparse(v) for v in jk1 + lifts])
+        coords = coordinates(jk1 + lifts)
 
-        def pi(vec: Sequence) -> list[Fraction]:
-            combo = coords(sparse(vec))
+        def pi(vec: Vector) -> list[Fraction]:
+            combo = coords(vec)
             if combo is None:
                 raise IntegrityError("defect escaped the radical filtration")
             return [combo.get(low + t, ZERO) for t in range(T)]
 
         # unknowns G[gamma][t]; g(x_gamma) = sum_t G[gamma][t] lifts[t]
-        right_mul = [[pi(a.multiply(lifts[t], sec[be])) for be in range(m)]
+        right_mul = [[pi(a.product(lifts[t], sec[be])) for be in range(m)]
                      for t in range(T)]
-        left_mul = [[pi(a.multiply(sec[al], lifts[t])) for t in range(T)]
+        left_mul = [[pi(a.product(sec[al], lifts[t])) for t in range(T)]
                     for al in range(m)]
         rows = []
         rhs = []
@@ -563,9 +536,8 @@ def _lift_section(a: Algebra, q: Algebra, reps: list[int],
                 prod = qprod[(al, be)]
                 for c in range(T):
                     row = [ZERO] * (m * T)
-                    for ga in range(m):
-                        if prod[ga]:
-                            row[ga * T + c] += prod[ga]
+                    for ga, x in prod.items():
+                        row[ga * T + c] += x
                     for t in range(T):
                         row[al * T + t] -= right_mul[t][be][c]
                         row[be * T + t] -= left_mul[al][t][c]
@@ -576,13 +548,12 @@ def _lift_section(a: Algebra, q: Algebra, reps: list[int],
             raise IntegrityError("section correction system inconsistent; "
                                  "quotient is not separable")
         for ga in range(m):
-            sec[ga] = combine([ONE, *sol[ga * T:(ga + 1) * T]],
-                              [sec[ga], *lifts], dim)
+            g = {1 + t: sol[ga * T + t] for t in range(T) if ga * T + t in sol}
+            sec[ga] = combine({0: ONE, **g}, (sec[ga], *lifts))
     # final exactness check
     for al in range(m):
         for be in range(m):
-            if combine(qprod[(al, be)], sec, dim) \
-                    != a.multiply(sec[al], sec[be]):
+            if combine(qprod[(al, be)], sec) != a.product(sec[al], sec[be]):
                 raise IntegrityError("lifted section is not multiplicative")
     return sec
 
@@ -597,17 +568,18 @@ def wedderburn(a: Algebra, seed: int = 0) -> WedderburnData:
     rad = radical(a)
     jpowers = radical_powers(a, rad)
     nil_index = len(jpowers) + 1 if rad else 1
-    quotient, reps, project = _quotient(a, rad)
+    quotient, reps = _quotient(a, rad)
     check = radical(quotient)
     if check:
         raise IntegrityError("quotient by the radical still has radical")
     rng = random.Random(seed)
     blocks_q = _split_blocks(quotient, rng)
     units_q = [_block_unit(quotient, b) for b in blocks_q]
+    # the last key compares units as coordinate tuples
     order = sorted(range(len(blocks_q)), key=lambda i: (
-        min(k for k, x in enumerate(units_q[i]) if x),
+        min(units_q[i]),
         len(blocks_q[i]),
-        units_q[i]))
+        [units_q[i].get(k, ZERO) for k in range(quotient.dim)]))
     blocks_q = [blocks_q[i] for i in order]
     units_q = [units_q[i] for i in order]
     dims = []
@@ -618,41 +590,26 @@ def wedderburn(a: Algebra, seed: int = 0) -> WedderburnData:
                            "matrix algebra over the rationals")
         dims.append(n)
     sec = _lift_section(a, quotient, reps, jpowers)
-    block_bases = tuple(tuple(combine(v, sec, a.dim) for v in b)
-                        for b in blocks_q)
-    idems = tuple(combine(u, sec, a.dim) for u in units_q)
+    block_bases = tuple(tuple(combine(v, sec) for v in b) for b in blocks_q)
+    idems = tuple(combine(u, sec) for u in units_q)
     complement = tuple(v for bb in block_bases for v in bb)
     if sum(d * d for d in dims) + len(rad) != a.dim:
         raise IntegrityError("block dimensions do not add up")
     edges = set()
-    sp_idems = [sparse(e) for e in idems]
-    sp_rad = [sparse(v) for v in rad]
-    for i, ei in enumerate(sp_idems):
-        for j, ej in enumerate(sp_idems):
+    for i, ei in enumerate(idems):
+        for j, ej in enumerate(idems):
             if i != j and any(a.product(a.product(ei, jb), ej)
-                              for jb in sp_rad):
+                              for jb in rad):
                 edges.add((i, j))
     return WedderburnData(
-        radical_basis=tuple(tuple(v) for v in rad),
+        radical_basis=tuple(rad),
         nilpotency_index=nil_index,
         block_dims=tuple(dims),
         block_idempotents=idems,
         block_bases=block_bases,
         complement_basis=complement,
         radical_path_graph=frozenset(edges),
-        radical_power_bases=tuple(tuple(tuple(v) for v in p)
-                                  for p in jpowers))
-
-
-def _canonical_coset(sol: list, null_basis: list[list]) -> Vector:
-    """Reduce a particular solution modulo the nullspace, canonically."""
-    out = list(sol)
-    for c, row in reduced_echelon(sparse(v) for v in null_basis).items():
-        f = out[c]
-        if f:
-            for j, w in row.items():
-                out[j] -= f * w
-    return tuple(out)
+        radical_power_bases=tuple(tuple(p) for p in jpowers))
 
 
 def split_derivation(a: Algebra, wd: WedderburnData, d: Derivation):
@@ -665,19 +622,14 @@ def split_derivation(a: Algebra, wd: WedderburnData, d: Derivation):
     def ad_rows(targets: Sequence[Vector]):
         rows, rhs = [], []
         for tv in targets:
-            imgs = []
-            for i in range(a.dim):
-                e = a.basis_vector(i)
-                imgs.append(tuple(p - q for p, q in zip(
-                    a.multiply(e, tv), a.multiply(tv, e))))
+            imgs = [a.bracket({i: ONE}, tv) for i in range(a.dim)]
             want = mat_apply(d.matrix, tv)
             for c in range(a.dim):
-                rows.append([imgs[i][c] for i in range(a.dim)])
-                rhs.append(want[c])
+                rows.append([img.get(c, ZERO) for img in imgs])
+                rhs.append(want.get(c, ZERO))
         return rows, rhs
 
-    full_targets = [a.basis_vector(i) for i in range(a.dim)]
-    rows, rhs = ad_rows(full_targets)
+    rows, rhs = ad_rows([{i: ONE} for i in range(a.dim)])
     sol = solve(rows, rhs)
     if sol is None:
         rows, rhs = ad_rows(list(wd.complement_basis))
@@ -686,13 +638,13 @@ def split_derivation(a: Algebra, wd: WedderburnData, d: Derivation):
             raise IntegrityError(
                 "derivation cannot be made inner on the complement; "
                 "input data violates the splitting theorem")
-    x = _canonical_coset(sol, nullspace(rows))
+    x = _residue(sol, reduced_echelon(nullspace(rows)))
     inner = inner_derivation(a, x, name=f"ad_{d.name}")
     residu = tuple(tuple(p - q for p, q in zip(dr, ir))
                    for dr, ir in zip(d.matrix, inner.matrix))
     dprime = Derivation(name=f"{d.name}_res", matrix=residu)
     for b in wd.complement_basis:
-        if any(mat_apply(dprime.matrix, b)):
+        if mat_apply(dprime.matrix, b):
             raise IntegrityError("residual derivation fails to vanish on "
                                  "the complement")
     return x, dprime
@@ -765,15 +717,15 @@ def builtin(name: str) -> AlgebraWithDerivations:
     if name == "UT2eps":
         a = _ut2eps_algebra()
         half = Fraction(1, 2)
-        x = (half, -half, ZERO)  # coords on e11, e22, e12
+        x = {0: half, 1: -half}  # coords on e11, e22, e12
         eps = inner_derivation(a, x, name="eps")
         return AlgebraWithDerivations(a, make_action(a, [eps]))
     if name == "M2sl2":
         a = _m2_pauli_algebra()
         half = Fraction(1, 2)
-        eps = inner_derivation(a, (ZERO, half, ZERO, ZERO), name="eps")
-        delta = inner_derivation(a, (ZERO, ZERO, half, ZERO), name="delta")
-        gamma = inner_derivation(a, (ZERO, ZERO, ZERO, half), name="gamma")
+        eps = inner_derivation(a, {1: half}, name="eps")
+        delta = inner_derivation(a, {2: half}, name="delta")
+        gamma = inner_derivation(a, {3: half}, name="gamma")
         return AlgebraWithDerivations(a, make_action(a, [eps, delta, gamma]))
     m = _BUILTIN_RE.match(name)
     if m:

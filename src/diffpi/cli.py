@@ -30,6 +30,7 @@ from .errors import (BudgetExceeded, DiffPiError, DiffSyntaxError,
 from .freediff import (consequences, format_diff_poly, operator_basis,
                        parse_diff_poly)
 from .growth import classify, detect_ut2_pattern, exponent
+from .linalg import ZERO
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -322,8 +323,9 @@ def _emit(report: dict, fmt: str, out_path: Optional[str]) -> None:
 # commands: each returns (loaded, results, warnings, exit_code)
 
 
-def _vec_str(v) -> list:
-    return [str(Fraction(x)) for x in v]
+def _vec_str(v: dict, dim: int) -> list:
+    """A sparse vector's dim coordinates, as strings."""
+    return [str(v.get(i, ZERO)) for i in range(dim)]
 
 
 def cmd_validate(args):
@@ -435,7 +437,7 @@ def _witness_payload(a: Algebra, witness) -> Optional[dict]:
     if witness is None:
         return None
     i, k, vec = witness
-    return {"block_i": i, "block_k": k, "element": _vec_str(vec),
+    return {"block_i": i, "block_k": k, "element": _vec_str(vec, a.dim),
             "element_basis": list(a.basis_labels)}
 
 
@@ -554,18 +556,20 @@ def cmd_decompose(args):
     for d in awd.action.generators:
         x, dprime = split_derivation(a, wd, d)
         outer_zero = not any(any(row) for row in dprime.matrix)
-        entry = {"name": d.name, "inner_part": _vec_str(x),
+        entry = {"name": d.name, "inner_part": _vec_str(x, a.dim),
                  "outer_zero": outer_zero}
         if not outer_zero:
-            entry["outer_matrix"] = [_vec_str(row) for row in dprime.matrix]
+            entry["outer_matrix"] = [[str(x) for x in row]
+                                     for row in dprime.matrix]
         ders.append(entry)
     results = {
         "basis": list(a.basis_labels),
         "radical_dim": len(wd.radical_basis),
-        "radical_basis": [_vec_str(v) for v in wd.radical_basis],
+        "radical_basis": [_vec_str(v, a.dim) for v in wd.radical_basis],
         "nilpotency_index": wd.nilpotency_index,
         "block_dims": list(wd.block_dims),
-        "block_idempotents": [_vec_str(v) for v in wd.block_idempotents],
+        "block_idempotents": [_vec_str(v, a.dim)
+                              for v in wd.block_idempotents],
         "radical_path_graph": [list(e) for e in sorted(wd.radical_path_graph)],
         "derivations": ders,
     }

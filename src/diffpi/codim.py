@@ -36,7 +36,7 @@ from .algebra import Algebra
 from .errors import BudgetExceeded
 from .freediff import (DiffMonomial, DiffPoly, OperatorBasis, adjacent_swaps,
                        consequences, mat_apply, validate_multilinear)
-from .linalg import ZERO, RowSpan, as_scalar, sparse
+from .linalg import ONE, ZERO, RowSpan, as_scalar, combine, sparse
 
 DEFAULT_BUDGET = 100_776_960  # 6! * 2**6 * 3**7, the reference workload
 
@@ -110,7 +110,7 @@ def _flat(blocks: dict, dim: int) -> dict:
 
 
 def _images(a: Algebra, op) -> list:
-    return [sparse(mat_apply(op, a.basis_vector(b))) for b in range(a.dim)]
+    return [mat_apply(op, {b: ONE}) for b in range(a.dim)]
 
 
 def monomial_row(a: Algebra, ob: OperatorBasis, m: DiffMonomial) -> dict:
@@ -186,9 +186,9 @@ def codim(a: Algebra, ob: OperatorBasis, n: int,
 
 
 def evaluate(p: DiffPoly, args: Sequence, a: Algebra,
-             ob: OperatorBasis) -> tuple:
-    """Value of p at the given algebra elements (one per variable), each
-    given by its a.dim exact coordinates."""
+             ob: OperatorBasis) -> dict:
+    """Value of p, as a sparse vector, at the given algebra elements (one
+    per variable), each given by its a.dim exact coordinates."""
     n = validate_multilinear(p)
     if len(args) != n:
         raise ValueError(f"need {n} arguments, got {len(args)}")
@@ -197,15 +197,15 @@ def evaluate(p: DiffPoly, args: Sequence, a: Algebra,
         if len(v) != a.dim:
             raise ValueError(f"an argument has {len(v)} coordinates, "
                              f"the algebra has dimension {a.dim}")
-    out = [ZERO] * a.dim
+    args = [sparse(v) for v in args]
+    out = {}
     for m, coeff in p.terms.items():
         # one image per position keeps the single block at t = 0
         blocks = {0: None}
         for v, h in zip(m.perm, m.labels):
-            blocks = _step(a, blocks, [sparse(mat_apply(ob.ops[h], args[v]))])
-        for i, x in blocks.get(0, {}).items():
-            out[i] += coeff * x
-    return tuple(out)
+            blocks = _step(a, blocks, [mat_apply(ob.ops[h], args[v])])
+        out = combine({0: ONE, 1: coeff}, (out, blocks.get(0, {})))
+    return out
 
 
 def is_identity(p: DiffPoly, a: Algebra, ob: OperatorBasis) -> bool:

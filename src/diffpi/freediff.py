@@ -27,9 +27,14 @@ from .linalg import ONE, ZERO, RowSpan, coordinates
 Matrix = tuple  # tuple of row tuples, acting on coordinate columns
 
 
-def mat_apply(m: Matrix, v: Sequence[Fraction]) -> tuple:
-    return tuple(sum((m[i][j] * v[j] for j in range(len(v)) if v[j]), ZERO)
-                 for i in range(len(m)))
+def mat_apply(m: Matrix, v: dict) -> dict:
+    """The matrix times a sparse vector, as a sparse vector."""
+    out = {}
+    for i, row in enumerate(m):
+        x = sum((row[j] * c for j, c in v.items()), ZERO)
+        if x:
+            out[i] = x
+    return out
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -21,7 +21,7 @@ from .algebra import (Algebra, AlgebraWithDerivations, Derivation,
 from .characters import cocharacter, support_check, support_violations
 from .errors import BudgetExceeded, IntegrityError, NotPolynomialGrowth
 from .freediff import mat_apply, operator_basis
-from .linalg import ZERO, RowSpan, coordinates, sparse
+from .linalg import ZERO, RowSpan, coordinates
 
 
 def _span_products(a: Algebra, left: Sequence[dict],
@@ -37,8 +37,7 @@ def _span_products(a: Algebra, left: Sequence[dict],
     return out
 
 
-def exponent(a: Algebra, wd: Optional[WedderburnData] = None,
-             seed: int = 0) -> int:
+def exponent(a: Algebra, wd: Optional[WedderburnData] = None) -> int:
     """PI exponent from the block structure.
 
     Maximum of dim(A_{i1}) + ... + dim(A_{ik}) over sequences of
@@ -53,9 +52,8 @@ def exponent(a: Algebra, wd: Optional[WedderburnData] = None,
     path problem.
     """
     if wd is None:
-        wd = wedderburn(a, seed=seed)
-    blocks = [[sparse(v) for v in bb] for bb in wd.block_bases]
-    rad = [sparse(v) for v in wd.radical_basis]
+        wd = wedderburn(a)
+    blocks, rad = wd.block_bases, wd.radical_basis
     full = sum(len(bb) for bb in blocks)
     best = 0
 
@@ -88,8 +86,8 @@ def detect_ut2_pattern(a: Algebra, wd: WedderburnData):
     for i, k in sorted(wd.radical_path_graph):
         ei, ek = wd.block_idempotents[i], wd.block_idempotents[k]
         for jb in wd.radical_basis:
-            w = a.multiply(a.multiply(ei, jb), ek)
-            if any(w):
+            w = a.product(a.product(ei, jb), ek)
+            if w:
                 return (i, k, w)
     return None
 
@@ -138,8 +136,7 @@ def _fit_evidence(values: list, structural_poly: bool) -> dict:
 
 
 def classify(awd: AlgebraWithDerivations, max_n: int = 3, seed: int = 0,
-             budget: Optional[int] = None,
-             degree_cap: int = 16) -> GrowthReport:
+             budget: Optional[int] = None) -> GrowthReport:
     """Full growth report: exponent, obstructions, support bound,
     finite-data codimension evidence."""
     a, act = awd.algebra, awd.action
@@ -149,7 +146,7 @@ def classify(awd: AlgebraWithDerivations, max_n: int = 3, seed: int = 0,
     witness = detect_ut2_pattern(a, wd)
     big = [i for i, ni in enumerate(wd.block_dims) if ni > 1]
     cross = sorted(wd.radical_path_graph)
-    ob = operator_basis(a, act, degree_cap=degree_cap)
+    ob = operator_basis(a, act)
     hypothesis_flags = {
         "action_lie_closed": True,
         "action_semisimple": act.killing_nondegenerate,
@@ -201,13 +198,13 @@ def _subalgebra(a: Algebra, basis: Sequence, labels: Sequence[str],
                 gens: Sequence[Derivation]) -> AlgebraWithDerivations:
     """Algebra structure on a multiplicatively closed, action stable
     subspace, with the restricted generators."""
-    in_basis = coordinates([sparse(v) for v in basis])
+    in_basis = coordinates(basis)
     if in_basis is None:
         raise IntegrityError("subalgebra basis is dependent")
     m = len(basis)
 
-    def coords(vec) -> dict:
-        combo = in_basis(sparse(vec))
+    def coords(vec: dict) -> dict:
+        combo = in_basis(vec)
         if combo is None:
             raise IntegrityError("subspace is not closed")
         return combo
@@ -215,7 +212,7 @@ def _subalgebra(a: Algebra, basis: Sequence, labels: Sequence[str],
     table = {}
     for i in range(m):
         for j in range(m):
-            prod = coords(a.multiply(basis[i], basis[j]))
+            prod = coords(a.product(basis[i], basis[j]))
             if prod:
                 table[(i, j)] = prod
     sub = Algebra(dim=m, basis_labels=tuple(labels), table=table, unit=None)
@@ -228,8 +225,7 @@ def _subalgebra(a: Algebra, basis: Sequence, labels: Sequence[str],
     return AlgebraWithDerivations(sub, make_action(sub, new_gens))
 
 
-def block_sum_split(awd: AlgebraWithDerivations, seed: int = 0,
-                    wd: Optional[WedderburnData] = None
+def block_sum_split(awd: AlgebraWithDerivations
                     ) -> list[AlgebraWithDerivations]:
     """Summands B_i = (block i) + J, plus the pure radical summand.
 
@@ -240,8 +236,7 @@ def block_sum_split(awd: AlgebraWithDerivations, seed: int = 0,
     by degree.
     """
     a, act = awd.algebra, awd.action
-    if wd is None:
-        wd = wedderburn(a, seed=seed)
+    wd = wedderburn(a)
     d = exponent(a, wd)
     if d > 1:
         raise NotPolynomialGrowth(

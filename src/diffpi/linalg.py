@@ -38,19 +38,20 @@ def as_scalar(x) -> Fraction:
 
 def sparse(v) -> dict:
     """The nonzero coordinates of a dense vector, as {index: scalar}."""
+    if isinstance(v, dict):  # enumerate would read its keys as entries
+        raise TypeError("sparse() takes a dense vector, not a dict")
     return {i: x for i, x in enumerate(v) if x}
 
 
-def combine(coeffs: Sequence, vectors: Sequence[Sequence], dim: int) -> tuple:
-    """sum of coeffs[i] * vectors[i] as a dense vector of length dim; the
-    zero vector when there are no terms."""
-    out = [ZERO] * dim
-    for c, v in zip(coeffs, vectors):
+def combine(coeffs: dict, vectors: Sequence[dict]) -> dict:
+    """sum of c * vectors[i] over the items (i, c) of coeffs, without
+    zeros; {} when there are no terms."""
+    out: dict = {}
+    for i, c in coeffs.items():
         if c:
-            for k, x in enumerate(v):
-                if x:
-                    out[k] += c * x
-    return tuple(out)
+            for k, x in vectors[i].items():
+                out[k] = out.get(k, ZERO) + c * x
+    return {k: x for k, x in out.items() if x}
 
 
 def reduced_echelon(rows: Iterable[dict]) -> dict:
@@ -63,9 +64,9 @@ def reduced_echelon(rows: Iterable[dict]) -> dict:
     return span.reduced_rows()
 
 
-def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Basis of the right kernel of the dense rows, as dense vectors as
-    long as the longest row.
+def nullspace(rows: Sequence[Sequence]) -> list[dict]:
+    """Basis of the right kernel of the dense rows, as sparse vectors
+    over the columns of the longest row.
 
     One basis vector per free column, in increasing column order, with a
     1 in the free position. Exact and deterministic.
@@ -76,8 +77,7 @@ def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
     for free in range(ncols):
         if free in rref:
             continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
+        vec = {free: ONE}
         for c, row in rref.items():
             v = row.get(free)
             if v:
@@ -86,8 +86,9 @@ def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
     return basis
 
 
-def solve(rows: Sequence[Sequence], b: Sequence) -> Optional[list[Fraction]]:
-    """One exact solution of rows · x = b, or None if inconsistent.
+def solve(rows: Sequence[Sequence], b: Sequence) -> Optional[dict]:
+    """One exact solution of rows · x = b as a sparse vector, or None if
+    inconsistent.
 
     Free variables are set to zero, which fixes the returned solution
     uniquely: it is read off the reduced echelon form.
@@ -105,12 +106,10 @@ def solve(rows: Sequence[Sequence], b: Sequence) -> Optional[list[Fraction]]:
     rref = reduced_echelon(aug)
     if ncols in rref:
         return None
-    x = [ZERO] * ncols
-    for c, row in rref.items():
-        x[c] = row.get(ncols, ZERO)
+    x = {c: row[ncols] for c, row in rref.items() if ncols in row}
     # paranoia: residual check is cheap at our sizes
     for r, rhs in zip(rows, b):
-        s = sum((v * x[j] for j, v in enumerate(r) if v), ZERO)
+        s = sum((v * r[j] for j, v in x.items()), ZERO)
         if s != as_scalar(rhs):
             return None
     return x

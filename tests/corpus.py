@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from diffpi import (Algebra, AlgebraWithDerivations, inner_derivation,
                     make_action)
+from diffpi.linalg import sparse
 
 ONE = Fraction(1)
 
@@ -118,7 +119,7 @@ def random_split_algebra(seed: int) -> AlgebraWithDerivations:
     assert a.dim <= 4
     ders = []
     for t in range(2):
-        x = tuple(Fraction(rng.randint(-2, 2)) for _ in range(a.dim))
+        x = sparse(tuple(Fraction(rng.randint(-2, 2)) for _ in range(a.dim)))
         ders.append(inner_derivation(a, x, name=f"d{t}"))
     return AlgebraWithDerivations(a, make_action(a, ders))
 

@@ -11,9 +11,6 @@ import time
 from fractions import Fraction
 from itertools import permutations, product
 
-import pytest
-
-from conftest import UT2EPS_GENERATORS
 from corpus import PARSER_CORPUS, corpus, truncated_poly
 from diffpi import (BudgetExceeded, builtin, check_l_stability, classify,
                     cocharacter, codim, codim_via_ideal,
@@ -23,6 +20,7 @@ from diffpi import (BudgetExceeded, builtin, check_l_stability, classify,
                     partitions, radical, radical_powers, split_derivation,
                     wedderburn)
 from diffpi.cli import main
+from diffpi.linalg import combine
 
 F = Fraction
 
@@ -203,7 +201,7 @@ def test_criterion_08_structure_suite(ut2eps):
     ut2 = builtin("UTk(2)").algebra
     rad = radical(ut2)
     strict = ut2.basis_labels.index("e12")
-    span_e12 = tuple(F(1) if j == strict else F(0) for j in range(ut2.dim))
+    span_e12 = {strict: F(1)}
     ok = rad == [span_e12]
     # exactly one nonzero radical power: J != 0, J^2 = 0
     ok = ok and len(radical_powers(ut2, rad)) == 1
@@ -222,10 +220,9 @@ def test_criterion_08_structure_suite(ut2eps):
     ok = ok and all(not any(row) for row in residual.matrix)
     # x may differ from (e11 - e22)/2 only by a central element
     # (basis order of the builtin is e11, e22, e12)
-    shift = tuple(a - b for a, b in zip(x, (F(1, 2), F(-1, 2), F(0))))
+    shift = combine({0: F(1), 1: F(-1)}, (x, {0: F(1, 2), 1: F(-1, 2)}))
     a = ut2eps.algebra
-    central = all(a.multiply(shift, a.basis_vector(i))
-                  == a.multiply(a.basis_vector(i), shift)
+    central = all(a.product(shift, {i: F(1)}) == a.product({i: F(1)}, shift)
                   for i in range(a.dim))
     ok = ok and central
     dt = time.perf_counter() - t0

@@ -9,6 +9,7 @@ from diffpi import (Algebra, AlgebraWithDerivations, Derivation,
                     InvariantViolation, NonSplit, builtin, check_l_stability,
                     direct_sum, inner_derivation, make_action, radical,
                     radical_powers, split_derivation, wedderburn)
+from diffpi import algebra as algebra_module
 from diffpi.freediff import mat_apply
 
 F = Fraction
@@ -44,21 +45,31 @@ def gaussian_field() -> Algebra:
                    unit=vec(1, 0))
 
 
+def skewed_dual_numbers() -> AlgebraWithDerivations:
+    # F[t]/(t^2) on u0 = 1 + t, u1 = t, with d = t d/dt: the coordinate
+    # section u0 is not multiplicative (u0 u0 = u0 + u1), and d is outer
+    tbl = {(0, 0): {0: F(1), 1: F(1)}, (0, 1): {1: F(1)}, (1, 0): {1: F(1)}}
+    a = Algebra(dim=2, basis_labels=("u0", "u1"), table=tbl,
+                unit=vec(1, -1))
+    d = Derivation(name="d", matrix=((Z, Z), (F(1), F(1))))
+    return AlgebraWithDerivations(a, make_action(a, [d]))
+
+
 def test_builtin_ut2eps_structure(ut2eps):
     a = ut2eps.algebra
     assert a.dim == 3
     assert a.basis_labels == ("e11", "e22", "e12")
     assert a.associativity_witness() is None
     assert a.unit_witness() is None
-    e11, e22, e12 = (a.basis_vector(i) for i in range(3))
-    assert a.multiply(e11, e12) == e12
-    assert a.multiply(e12, e22) == e12
-    assert a.multiply(e12, e12) == vec(0, 0, 0)
+    e11, e22, e12 = ({i: F(1)} for i in range(3))
+    assert a.product(e11, e12) == e12
+    assert a.product(e12, e22) == e12
+    assert a.product(e12, e12) == {}
     assert ut2eps.action.lie_dim == 1
     assert not ut2eps.action.killing_nondegenerate
     eps = ut2eps.action.generators[0]
     assert mat_apply(eps.matrix, e12) == e12
-    assert mat_apply(eps.matrix, e11) == vec(0, 0, 0)
+    assert mat_apply(eps.matrix, e11) == {}
 
 
 def test_builtin_m2sl2_structure(m2sl2):
@@ -92,11 +103,11 @@ def test_builtin_matrix_algebras():
 
 def test_inner_derivation_leibniz():
     a = builtin("Mk(2)").algebra
-    x = vec(1, 2, -1, F(1, 2))
+    x = {0: F(1), 1: F(2), 2: F(-1), 3: F(1, 2)}
     d = inner_derivation(a, x)
     assert d.leibniz_witness(a) is None
     # inner derivations kill the element itself
-    assert mat_apply(d.matrix, x) == (Z,) * 4
+    assert mat_apply(d.matrix, x) == {}
 
 
 def test_make_action_rejects_non_leibniz():
@@ -108,8 +119,8 @@ def test_make_action_rejects_non_leibniz():
 
 def test_make_action_closes_lie_algebra():
     a = builtin("Mk(2)").algebra
-    d1 = inner_derivation(a, vec(0, 1, 0, 0), name="a")
-    d2 = inner_derivation(a, vec(0, 0, 1, 0), name="b")
+    d1 = inner_derivation(a, {1: F(1)}, name="a")
+    d2 = inner_derivation(a, {2: F(1)}, name="b")
     act = make_action(a, [d1, d2])
     # ad(e12), ad(e21) bracket to the diagonal derivation
     assert act.lie_dim == 3
@@ -119,7 +130,7 @@ def test_radical_ut2(ut2eps):
     a = ut2eps.algebra
     rad = radical(a)
     assert len(rad) == 1
-    assert rad[0] == vec(0, 0, 1)
+    assert rad[0] == {2: F(1)}
     powers = radical_powers(a, rad)
     assert len(powers) == 1  # J^2 = 0, so q = 2
     assert wedderburn(a).nilpotency_index == 2
@@ -137,7 +148,7 @@ def test_radical_semisimple_and_nilpotent():
 def test_wedderburn_ut2(ut2eps):
     wd = wedderburn(ut2eps.algebra)
     assert wd.block_dims == (1, 1)
-    assert [v for v in wd.block_idempotents] == [vec(1, 0, 0), vec(0, 1, 0)]
+    assert [v for v in wd.block_idempotents] == [{0: F(1)}, {1: F(1)}]
     assert set(wd.radical_path_graph) == {(0, 1)}
     assert len(wd.complement_basis) == 2
 
@@ -162,11 +173,10 @@ def test_wedderburn_complement_is_multiplicative(ut2eps):
     from diffpi.linalg import RowSpan
     span = RowSpan()
     for v in wd.complement_basis:
-        span.insert({i: x for i, x in enumerate(v) if x})
+        span.insert(v)
     for u in wd.complement_basis:
         for v in wd.complement_basis:
-            w = a.multiply(u, v)
-            row = {i: x for i, x in enumerate(w) if x}
+            row = a.product(u, v)
             assert not row or span.contains(row)
 
 
@@ -204,9 +214,89 @@ def test_split_derivation_outer_part():
     wd = wedderburn(a)
     x, dprime = split_derivation(a, wd, d)
     for b in wd.complement_basis:
-        assert mat_apply(dprime.matrix, b) == (Z, Z)
-    t = a.basis_vector(1)
+        assert mat_apply(dprime.matrix, b) == {}
+    t = {1: F(1)}
     assert mat_apply(dprime.matrix, t) == mat_apply(d.matrix, t)
+
+
+def test_lifted_section_is_corrected_on_skewed_basis():
+    awd = skewed_dual_numbers()
+    a = awd.algebra
+    assert a.associativity_witness() is None and a.unit_witness() is None
+    wd = wedderburn(a)
+    assert wd.radical_basis == ({1: F(1)},)
+    assert wd.block_idempotents == ({0: F(1), 1: F(-1)},)
+    assert wd.complement_basis == ({0: F(1), 1: F(-1)},)
+    d = awd.action.generators[0]
+    x, dprime = split_derivation(a, wd, d)
+    assert x == {}
+    assert dprime.matrix == d.matrix
+
+
+def _check_normalised(v, dim):
+    assert isinstance(v, dict)
+    assert all(v.values()), v
+    assert set(v) <= set(range(dim)), v
+
+
+def test_returned_vectors_are_normalised(monkeypatch):
+    # dict equality stands for vector equality (the != checks of
+    # leibniz_witness, unit_witness and _lift_section) only on vectors
+    # without zero entries; every helper the structure code calls is
+    # checked as it returns, and every vector it hands back at the end
+    plain = {name: getattr(algebra_module, name)
+             for name in ("nullspace", "solve", "combine", "mat_apply")}
+    calls = {"nullspace": 0, "solve": 0, "combine": 0, "mat_apply": 0}
+
+    def width(rows):
+        return max((len(r) for r in rows), default=0)
+
+    def checked_nullspace(rows):
+        calls["nullspace"] += 1
+        out = plain["nullspace"](rows)
+        for v in out:
+            _check_normalised(v, width(rows))
+        return out
+
+    def checked_solve(rows, b):
+        calls["solve"] += 1
+        out = plain["solve"](rows, b)
+        if out is not None:
+            _check_normalised(out, width(rows))
+        return out
+
+    def checked_combine(coeffs, vectors):
+        calls["combine"] += 1
+        out = plain["combine"](coeffs, vectors)
+        assert all(out.values()), out
+        assert set(out) <= {k for i in coeffs for k in vectors[i]}
+        return out
+
+    def checked_mat_apply(m, v):
+        calls["mat_apply"] += 1
+        out = plain["mat_apply"](m, v)
+        _check_normalised(out, len(m))
+        return out
+
+    monkeypatch.setattr(algebra_module, "nullspace", checked_nullspace)
+    monkeypatch.setattr(algebra_module, "solve", checked_solve)
+    monkeypatch.setattr(algebra_module, "combine", checked_combine)
+    monkeypatch.setattr(algebra_module, "mat_apply", checked_mat_apply)
+    cases = [random_split_algebra(seed) for seed in range(60)]
+    for awd in cases + [skewed_dual_numbers()]:
+        a = awd.algebra
+        for v in radical(a):
+            _check_normalised(v, a.dim)
+        wd = wedderburn(a)
+        for v in (*wd.radical_basis, *wd.block_idempotents,
+                  *wd.complement_basis, *(v for bb in wd.block_bases
+                                          for v in bb),
+                  *(v for p in wd.radical_power_bases for v in p)):
+            _check_normalised(v, a.dim)
+        for d in awd.action.generators:
+            x, _ = split_derivation(a, wd, d)
+            _check_normalised(x, a.dim)
+    assert all(calls.values()), calls
 
 
 def test_nonsplit_raises():
@@ -256,7 +346,7 @@ def test_direct_sum_structure(ut2eps):
     assert a.basis_labels[0] == "1:e11" and a.basis_labels[3] == "2:e11"
     assert a.unit == vec(1, 1, 0, 1, 1, 0)
     # cross terms vanish
-    assert a.multiply(a.basis_vector(0), a.basis_vector(3)) == (Z,) * 6
+    assert a.product({0: F(1)}, {3: F(1)}) == {}
     assert len(s.action.generators) == 1
     assert s.action.generators[0].name == "eps"
 

@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from diffpi.cli import main
 
 UT2EPS_GENS_FILE = """\

@@ -41,7 +41,7 @@ def test_nullspace_kernel_property():
     assert len(ns) == 1
     for v in ns:
         for r in rows:
-            assert sum(F(x) * y for x, y in zip(r, v)) == 0
+            assert sum(F(r[j]) * y for j, y in v.items()) == 0
 
 
 def test_nullspace_full_rank_empty():
@@ -51,7 +51,7 @@ def test_nullspace_full_rank_empty():
 def test_solve_consistent():
     m = dense([[1, 1], [1, -1]])
     x = solve(m, [F(3), F(1)])
-    assert x == [F(2), F(1)]
+    assert x == {0: F(2), 1: F(1)}
 
 
 def test_solve_inconsistent_returns_none():
@@ -63,14 +63,23 @@ def test_solve_underdetermined_has_zero_free_vars():
     m = dense([[1, 1, 1]])
     x = solve(m, [F(5)])
     assert x is not None
-    assert sum(x) == 5
+    assert sum(x.values()) == 5
 
 
-def test_dense_combine():
-    assert linalg.combine([], [], 3) == (F(0),) * 3
-    vectors = dense([[1, 0, 2], [5, 5, 5], [0, 1, 0]])
-    assert linalg.combine([F(2), F(0), F(-1, 2)], vectors, 3) \
-        == (F(2), F(-1, 2), F(4))
+def test_combine():
+    assert linalg.combine({}, []) == {}
+    vectors = [{0: F(1), 2: F(2)}, {0: F(5), 1: F(5), 2: F(5)}, {1: F(1)}]
+    assert linalg.combine({0: F(2), 1: F(0), 2: F(-1, 2)}, vectors) \
+        == {0: F(2), 1: F(-1, 2), 2: F(4)}
+    # terms that cancel leave no zero entry
+    assert linalg.combine({0: F(1), 1: F(-1)}, [vectors[2], vectors[2]]) == {}
+
+
+def test_sparse_rejects_dict():
+    # enumerate() over a dict would read its keys as the entries
+    assert linalg.sparse((F(0), F(2))) == {1: F(2)}
+    with pytest.raises(TypeError):
+        linalg.sparse({1: F(2)})
 
 
 def test_as_scalar_rejects_float():
@@ -132,7 +141,7 @@ def test_rank_nullity(rows):
     assert r + len(ns) == len(rows[0])
     for v in ns:
         for row in rows:
-            assert sum(a * b for a, b in zip(row, v)) == 0
+            assert sum(row[j] * b for j, b in v.items()) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,7 +153,7 @@ def test_solve_roundtrip(rows, data):
     y = solve(rows, b)
     assert y is not None
     for r, want in zip(rows, b):
-        assert sum(a * v for a, v in zip(r, y)) == want
+        assert sum(r[j] * v for j, v in y.items()) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -228,7 +237,7 @@ def test_nullspace_and_solve_match_gauss_jordan(rows, data):
         vec[free] = F(1)
         for c, row in rref.items():
             vec[c] = -row[free]
-        want.append(vec)
+        want.append({j: v for j, v in enumerate(vec) if v})
     assert nullspace(rows) == want
     b = [data.draw(fraction) for _ in rows]
     aug = gauss_jordan([r + [x] for r, x in zip(rows, b)], ncols + 1)
@@ -238,7 +247,7 @@ def test_nullspace_and_solve_match_gauss_jordan(rows, data):
         x = [F(0)] * ncols
         for c, row in aug.items():
             x[c] = row[ncols]
-        assert solve(rows, b) == x
+        assert solve(rows, b) == {j: v for j, v in enumerate(x) if v}
 
 
 @settings(max_examples=80, deadline=None)
