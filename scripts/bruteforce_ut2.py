@@ -129,18 +129,8 @@ def n2_traces(funcs):
             basis_keys.append(k)
             basis_rows.append(rows[k])
     def express(v):
-        # solve sum c_i basis_rows[i] = v by augmented elimination
+        # solve sum c_i basis_rows[i] = v by elimination on the transpose
         ncols = len(v)
-        aug = [list(r) + [Fraction(int(i == j)) for j in range(len(basis_rows))]
-               for i, r in enumerate(basis_rows)]
-        # reduce v against rows, tracking coefficients
-        coeffs = [Fraction(0)] * len(basis_rows)
-        work = list(v)
-        for i, r in enumerate(basis_rows):
-            lead = next(j for j in range(ncols) if r[j] != 0)
-            # normalize pivot manually each time (rows kept raw, fine at this size)
-        # simpler: full solve via elimination on transpose
-        import itertools
         m = len(basis_rows)
         # build augmented system A^T c = v
         at = [[basis_rows[i][j] for i in range(m)] + [v[j]] for j in range(ncols)]

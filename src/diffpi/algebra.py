@@ -10,8 +10,10 @@ a remainder vanishing on the lifted complement.
 
 Every algebra element is a sparse vector, a dict {index: Fraction}
 holding only the nonzero coordinates; Algebra.product is the one
-multiplication loop. Dense coordinates appear only where data enters:
-the declared unit and the rows of a derivation matrix.
+multiplication loop. Every linear map is the tuple of its column
+images, f[j] = f(e_j), and every linear system is given by its sparse
+columns. Dense coordinates appear only where data enters or leaves: the
+declared unit and the rows of a derivation matrix.
 
 All searches are deterministic given the seed; the returned data never
 depends on dict iteration order.
@@ -23,14 +25,15 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (IntegrityError, InvariantViolation, NonSplit,
                      UnknownBuiltin)
-from .freediff import _mat_flat, mat_apply, mat_identity, mat_mul
-from .linalg import (ONE, ZERO, RowSpan, as_scalar, combine, coordinates,
-                     nullspace, reduced_echelon, solve, sparse)
+from .linalg import (ONE, ZERO, RowSpan, as_scalar, combine, compose,
+                     coordinates, nullspace, reduced_echelon, solve, sparse,
+                     stack, to_columns, to_rows, trace)
 
 Vector = dict  # sparse: {index: Fraction}, nonzero entries only
 
@@ -103,18 +106,26 @@ class Algebra:
 
 @dataclass(frozen=True)
 class Derivation:
-    """Linear map given by its matrix (rows), expected to satisfy Leibniz."""
+    """Linear map given by its matrix (rows), expected to satisfy Leibniz.
+
+    The dense rows are how a derivation enters and leaves; the library
+    computes with its column images."""
 
     name: str
     matrix: tuple
 
+    @cached_property
+    def columns(self) -> tuple:
+        """The column images: columns[j] = d(e_j), a sparse vector."""
+        return to_columns(self.matrix)
+
     def leibniz_witness(self, a: Algebra):
         """First basis pair (i, j) violating d(xy) = d(x)y + x d(y), or None."""
         vecs = [{i: ONE} for i in range(a.dim)]
-        img = [mat_apply(self.matrix, v) for v in vecs]
+        img = self.columns
         for i in range(a.dim):
             for j in range(a.dim):
-                lhs = mat_apply(self.matrix, a.product(vecs[i], vecs[j]))
+                lhs = combine(a.product(vecs[i], vecs[j]), img)
                 rhs = combine({0: ONE, 1: ONE}, (a.product(img[i], vecs[j]),
                                                  a.product(vecs[i], img[j])))
                 if lhs != rhs:
@@ -125,13 +136,12 @@ class Derivation:
 def inner_derivation(a: Algebra, x: dict, name: str = "ad") -> Derivation:
     """The commutator map v -> x v - v x."""
     cols = [a.bracket(x, {j: ONE}) for j in range(a.dim)]
-    matrix = tuple(tuple(cols[j].get(i, ZERO) for j in range(a.dim))
-                   for i in range(a.dim))
-    return Derivation(name=name, matrix=matrix)
+    return Derivation(name=name, matrix=to_rows(cols))
 
 
 class DerivationAction(NamedTuple):
-    """Generating derivations plus the Lie algebra they span."""
+    """Generating derivations plus the Lie algebra they span, each
+    element of lie_basis a map held as column images."""
 
     generators: tuple
     lie_basis: tuple
@@ -143,8 +153,8 @@ class DerivationAction(NamedTuple):
 
 
 def _commutator(x, y):
-    return tuple(tuple(p - q for p, q in zip(r, s))
-                 for r, s in zip(mat_mul(x, y), mat_mul(y, x)))
+    return tuple(combine({0: ONE, 1: -ONE}, (u, v))
+                 for u, v in zip(compose(x, y), compose(y, x)))
 
 
 def make_action(a: Algebra, gens: Sequence[Derivation]) -> DerivationAction:
@@ -165,43 +175,29 @@ def make_action(a: Algebra, gens: Sequence[Derivation]) -> DerivationAction:
     span = RowSpan()
     basis = []
     for d in gens:
-        flat = _mat_flat(d.matrix)
-        if flat and span.insert(flat):
-            basis.append(d.matrix)
+        if span.insert(stack(enumerate(d.columns), a.dim)):
+            basis.append(d.columns)
     frontier = list(basis)
     while frontier:
         new = []
         for x in list(basis):
             for y in frontier:
                 c = _commutator(x, y)
-                flat = _mat_flat(c)
-                if flat and span.insert(flat):
+                if span.insert(stack(enumerate(c), a.dim)):
                     basis.append(c)
                     new.append(c)
         frontier = new
-    # Killing form on the closed Lie algebra
+    # Killing form on the closed Lie algebra; column j of ad_b is the
+    # coordinates of [b, basis_j]
     nondeg = True
     if basis:
-        coords = coordinates([_mat_flat(b) for b in basis])
-        ad = []
-        for b in basis:
-            rows = []
-            for c in basis:
-                combo = coords(_mat_flat(_commutator(b, c))) or {}
-                rows.append([combo.get(i, ZERO) for i in range(len(basis))])
-            # column j of ad_b = coords of [b, basis_j]
-            ad.append(tuple(tuple(rows[j][i] for j in range(len(basis)))
-                            for i in range(len(basis))))
-        gram = [[_matprod_trace(ad[i], ad[j]) for j in range(len(basis))]
-                for i in range(len(basis))]
-        nondeg = (len(nullspace(gram)) == 0)
+        coords = coordinates([stack(enumerate(b), a.dim) for b in basis])
+        ad = [tuple(coords(stack(enumerate(_commutator(b, c)), a.dim)) or {}
+                    for c in basis) for b in basis]
+        gram = [sparse([trace(compose(x, y)) for x in ad]) for y in ad]
+        nondeg = not nullspace(gram)
     return DerivationAction(generators=tuple(gens), lie_basis=tuple(basis),
                             killing_nondegenerate=nondeg)
-
-
-def _matprod_trace(x, y) -> Fraction:
-    n = len(x)
-    return sum((x[i][k] * y[k][i] for i in range(n) for k in range(n)), ZERO)
 
 
 class AlgebraWithDerivations(NamedTuple):
@@ -217,7 +213,7 @@ def check_l_stability(a: Algebra, act: DerivationAction,
         span.insert(v)
     for d in act.generators:
         for v in subspace:
-            if not span.contains(mat_apply(d.matrix, v)):
+            if not span.contains(combine(v, d.columns)):
                 return False
     return True
 
@@ -233,15 +229,13 @@ def radical(a: Algebra) -> list[Vector]:
         return []
     t = [sum((a.table.get((i, j), {}).get(j, ZERO) for j in range(a.dim)),
              ZERO) for i in range(a.dim)]
-    rows = []
-    for y in range(a.dim):
-        row = []
-        for j in range(a.dim):
-            prod = a.table.get((j, y), {})
-            row.append(sum((v * t[k] for k, v in prod.items()), ZERO))
-        rows.append(row)
-    rows.append(list(t))
-    return nullspace(rows)
+
+    def tr(v: Vector) -> Fraction:
+        return sum((x * t[k] for k, x in v.items()), ZERO)
+    # column j holds tr(e_j y) for y = e_0, ..., e_(dim-1), then 1
+    return nullspace([sparse([tr(a.table.get((j, y), {}))
+                              for y in range(a.dim)] + [t[j]])
+                      for j in range(a.dim)])
 
 
 def radical_powers(a: Algebra, rad: Sequence[Vector]) -> list[list[Vector]]:
@@ -319,28 +313,25 @@ def _quotient(a: Algebra, rad: Sequence[Vector]):
 
 def _subspace_center(q: Algebra, piece: Sequence[Vector]) -> list[Vector]:
     """Central elements of the span of piece, as vectors in q coords."""
-    rows = []
-    for p in piece:
-        comm = [q.bracket(b, p) for b in piece]
-        for c in range(q.dim):
-            rows.append([w.get(c, ZERO) for w in comm])
-    return [combine(coeffs, piece) for coeffs in nullspace(rows)]
+    cols = [stack(enumerate(q.bracket(b, p) for p in piece), q.dim)
+            for b in piece]
+    return [combine(coeffs, piece) for coeffs in nullspace(cols)]
 
 
-def _minpoly(mat: list[list[Fraction]]) -> list[Fraction]:
-    """Minimal polynomial of a nonempty square matrix M, as the list
-    [c_0, ..., c_{d-1}] with M^d = sum c_i M^i, d the degree: the
-    polynomial is t^d - sum c_i t^i, the form that _rational_roots and
-    _fully_splits read.
+def _minpoly(f: Sequence[Vector]) -> list[Fraction]:
+    """Minimal polynomial of a nonempty square map f, held as column
+    images, as the list [c_0, ..., c_{d-1}] with f^d = sum c_i f^i, d the
+    degree: the polynomial is t^d - sum c_i t^i, the form that
+    _rational_roots reads.
     """
-    powers = [_mat_flat(mat_identity(len(mat)))]
+    n = len(f)
+    powers, power = [], tuple({j: ONE} for j in range(n))
     span = RowSpan()
-    span.insert(powers[0])
-    power, flat = mat, _mat_flat(mat)
+    flat = stack(enumerate(power), n)
     while span.insert(flat):
         powers.append(flat)
-        power = mat_mul(mat, power)
-        flat = _mat_flat(power)
+        power = compose(f, power)
+        flat = stack(enumerate(power), n)
     combo = coordinates(powers)(flat)
     return [combo.get(i, ZERO) for i in range(len(powers))]
 
@@ -391,22 +382,6 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _fully_splits(minrel: list[Fraction], roots: list[Fraction]) -> bool:
-    """True iff the minimal polynomial equals prod (t - r) over the roots."""
-    if len(roots) != len(minrel):
-        return False
-    # multiply out prod(t - r), ascending coefficients
-    poly = [ONE]
-    for r in roots:
-        nxt = [ZERO] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i] += -r * c
-            nxt[i + 1] += c
-        poly = nxt
-    target = [-c for c in minrel] + [ONE]
-    return poly == target
-
-
 def _split_blocks(q: Algebra, rng: random.Random) -> list[list[Vector]]:
     """Simple ideals of the semisimple algebra q, by central eigensplitting.
 
@@ -428,28 +403,23 @@ def _split_blocks(q: Algebra, rng: random.Random) -> list[list[Vector]]:
                 z = combine({i: Fraction(rng.randint(-3, 3))
                              for i in range(len(center))}, center)
             tried += 1
-            # matrix of multiplication by z on the center
-            mat = []
-            for c in center:
-                combo = coords(q.product(z, c))
-                if combo is None:
-                    raise IntegrityError("center not closed under product")
-                mat.append([combo.get(i, ZERO) for i in range(len(center))])
-            mat = [[mat[j][i] for j in range(len(center))]
-                   for i in range(len(center))]
-            minrel = _minpoly(mat)
+            # multiplication by z on the center
+            mul = tuple(coords(q.product(z, c)) for c in center)
+            if None in mul:
+                raise IntegrityError("center not closed under product")
+            minrel = _minpoly(mul)
             roots = _rational_roots(minrel)
-            if not _fully_splits(minrel, roots) or len(roots) < 2:
+            # the roots are distinct, so the minimal polynomial splits
+            # into linear factors iff it has as many roots as its degree
+            if len(roots) != len(minrel) or len(roots) < 2:
                 continue
             pieces = []
             total = 0
             zp = [q.product(z, b) for b in piece]
             for r in roots:
-                rows = []
-                for c in range(q.dim):
-                    rows.append([w.get(c, ZERO) - r * b.get(c, ZERO)
-                                 for w, b in zip(zp, piece)])
-                sub = [combine(coeffs, piece) for coeffs in nullspace(rows)]
+                cols = [combine({0: ONE, 1: -r}, (w, b))
+                        for w, b in zip(zp, piece)]
+                sub = [combine(coeffs, piece) for coeffs in nullspace(cols)]
                 if sub:
                     pieces.append(sub)
                     total += len(sub)
@@ -469,18 +439,11 @@ def _split_blocks(q: Algebra, rng: random.Random) -> list[list[Vector]]:
 
 def _block_unit(q: Algebra, block: list[Vector]) -> Vector:
     """Unit of a block ideal, solved from u b = b u = b."""
-    m = len(block)
-    rows = []
-    rhs = []
-    for b in block:
-        left = [q.product(block[i], b) for i in range(m)]
-        right = [q.product(b, block[i]) for i in range(m)]
-        for c in range(q.dim):
-            rows.append([left[i].get(c, ZERO) for i in range(m)])
-            rhs.append(b.get(c, ZERO))
-            rows.append([right[i].get(c, ZERO) for i in range(m)])
-            rhs.append(b.get(c, ZERO))
-    sol = solve(rows, rhs)
+    cols = [stack(enumerate(w for b in block
+                            for w in (q.product(u, b), q.product(b, u))),
+                  q.dim) for u in block]
+    rhs = stack(enumerate(w for b in block for w in (b, b)), q.dim)
+    sol = solve(cols, rhs)
     if sol is None:
         raise IntegrityError("block has no unit; split produced a non-ideal")
     return combine(sol, block)
@@ -517,33 +480,33 @@ def _lift_section(a: Algebra, q: Algebra, reps: list[int],
         T, low = len(lifts), len(jk1)
         coords = coordinates(jk1 + lifts)
 
-        def pi(vec: Vector) -> list[Fraction]:
+        def pi(vec: Vector) -> Vector:
             combo = coords(vec)
             if combo is None:
                 raise IntegrityError("defect escaped the radical filtration")
-            return [combo.get(low + t, ZERO) for t in range(T)]
+            return {c - low: x for c, x in combo.items() if c >= low}
 
-        # unknowns G[gamma][t]; g(x_gamma) = sum_t G[gamma][t] lifts[t]
+        # unknowns G[gamma][t] at gamma*T + t, g(x_gamma) = sum_t G[gamma][t]
+        # lifts[t]; equation (alpha, beta, c) at (alpha*m + beta)*T + c is
+        # coordinate c of g(x_a) s(x_b) + s(x_a) g(x_b) - g(x_a x_b) = defect
         right_mul = [[pi(a.product(lifts[t], sec[be])) for be in range(m)]
                      for t in range(T)]
         left_mul = [[pi(a.product(sec[al], lifts[t])) for t in range(T)]
                     for al in range(m)]
-        rows = []
-        rhs = []
-        for al in range(m):
-            for be in range(m):
-                pd = pi(defects[(al, be)])
-                prod = qprod[(al, be)]
-                for c in range(T):
-                    row = [ZERO] * (m * T)
-                    for ga, x in prod.items():
-                        row[ga * T + c] += x
-                    for t in range(T):
-                        row[al * T + t] -= right_mul[t][be][c]
-                        row[be * T + t] -= left_mul[al][t][c]
-                    rows.append(row)
-                    rhs.append(-pd[c])
-        sol = solve(rows, rhs)
+        cols = []
+        for ga in range(m):
+            for t in range(T):
+                qterm = stack(((al * m + be, {t: prod[ga]})
+                               for (al, be), prod in qprod.items()
+                               if ga in prod), T)
+                rterm = stack(((ga * m + be, right_mul[t][be])
+                               for be in range(m)), T)
+                lterm = stack(((al * m + ga, left_mul[al][t])
+                               for al in range(m)), T)
+                cols.append(combine({0: -ONE, 1: ONE, 2: ONE},
+                                    (qterm, rterm, lterm)))
+        sol = solve(cols, stack(((al * m + be, pi(defects[(al, be)]))
+                                 for al in range(m) for be in range(m)), T))
         if sol is None:
             raise IntegrityError("section correction system inconsistent; "
                                  "quotient is not separable")
@@ -597,9 +560,9 @@ def wedderburn(a: Algebra, seed: int = 0) -> WedderburnData:
         raise IntegrityError("block dimensions do not add up")
     edges = set()
     for i, ei in enumerate(idems):
+        eij = [a.product(ei, jb) for jb in rad]
         for j, ej in enumerate(idems):
-            if i != j and any(a.product(a.product(ei, jb), ej)
-                              for jb in rad):
+            if i != j and any(a.product(w, ej) for w in eij):
                 edges.add((i, j))
     return WedderburnData(
         radical_basis=tuple(rad),
@@ -619,32 +582,29 @@ def split_derivation(a: Algebra, wd: WedderburnData, d: Derivation):
     canonical coset representative modulo the solution ambiguity, so the
     output is deterministic.
     """
-    def ad_rows(targets: Sequence[Vector]):
-        rows, rhs = [], []
-        for tv in targets:
-            imgs = [a.bracket({i: ONE}, tv) for i in range(a.dim)]
-            want = mat_apply(d.matrix, tv)
-            for c in range(a.dim):
-                rows.append([img.get(c, ZERO) for img in imgs])
-                rhs.append(want.get(c, ZERO))
-        return rows, rhs
+    def ad_system(targets: Sequence[Vector]):
+        """Columns and right side of [x, t] = d(t) over the targets t."""
+        cols = [stack(enumerate(a.bracket({i: ONE}, tv) for tv in targets),
+                      a.dim) for i in range(a.dim)]
+        return cols, stack(enumerate(combine(tv, d.columns)
+                                     for tv in targets), a.dim)
 
-    rows, rhs = ad_rows([{i: ONE} for i in range(a.dim)])
-    sol = solve(rows, rhs)
+    cols, rhs = ad_system([{i: ONE} for i in range(a.dim)])
+    sol = solve(cols, rhs)
     if sol is None:
-        rows, rhs = ad_rows(list(wd.complement_basis))
-        sol = solve(rows, rhs)
+        cols, rhs = ad_system(list(wd.complement_basis))
+        sol = solve(cols, rhs)
         if sol is None:
             raise IntegrityError(
                 "derivation cannot be made inner on the complement; "
                 "input data violates the splitting theorem")
-    x = _residue(sol, reduced_echelon(nullspace(rows)))
+    x = _residue(sol, reduced_echelon(nullspace(cols)))
     inner = inner_derivation(a, x, name=f"ad_{d.name}")
-    residu = tuple(tuple(p - q for p, q in zip(dr, ir))
-                   for dr, ir in zip(d.matrix, inner.matrix))
-    dprime = Derivation(name=f"{d.name}_res", matrix=residu)
+    residu = [combine({0: ONE, 1: -ONE}, (u, v))
+              for u, v in zip(d.columns, inner.columns)]
+    dprime = Derivation(name=f"{d.name}_res", matrix=to_rows(residu))
     for b in wd.complement_basis:
-        if mat_apply(dprime.matrix, b):
+        if combine(b, residu):
             raise IntegrityError("residual derivation fails to vanish on "
                                  "the complement")
     return x, dprime
@@ -687,15 +647,10 @@ def direct_sum(*summands: AlgebraWithDerivations) -> AlgebraWithDerivations:
                   unit=unit)
     gens = []
     for gi, name in enumerate(names):
-        mat = [[ZERO] * total for _ in range(total)]
-        for idx, s in enumerate(summands):
-            o = offs[idx]
-            gm = s.action.generators[gi].matrix
-            for i in range(s.algebra.dim):
-                for j in range(s.algebra.dim):
-                    if gm[i][j]:
-                        mat[i + o][j + o] = gm[i][j]
-        gens.append(Derivation(name=name, matrix=tuple(map(tuple, mat))))
+        cols = [{i + o: x for i, x in c.items()}
+                for o, s in zip(offs, summands)
+                for c in s.action.generators[gi].columns]
+        gens.append(Derivation(name=name, matrix=to_rows(cols)))
     return AlgebraWithDerivations(alg, make_action(alg, gens))
 
 

@@ -7,10 +7,11 @@ coordinate).
 
 Every evaluation row is built by one prefix-product step (_step): a row
 blocked by input tuple, {t: w(t)}, times one label's images op_h(e_b)
-is {t*dim + b: w(t) op_h(e_b)}, one Algebra.product per block and only
-nonzero blocks kept. n steps give the row of an identity-order monomial
-x_1^{h_1} ... x_n^{h_n}; evaluate() takes the same step with one image
-per position.
+(the column images ob.ops[h]) is {t*dim + b: w(t) op_h(e_b)}, one
+Algebra.product per block and only nonzero blocks kept; stack() lays
+the blocks side by side into the row. n steps give the row of an
+identity-order monomial x_1^{h_1} ... x_n^{h_n}; evaluate() takes the
+same step with one image per position.
 
 Evaluation is S_n-equivariant, so the row of any other variable order
 is that row with the digits of its input-tuple columns permuted
@@ -35,8 +36,8 @@ from typing import Optional, Sequence
 from .algebra import Algebra
 from .errors import BudgetExceeded
 from .freediff import (DiffMonomial, DiffPoly, OperatorBasis, adjacent_swaps,
-                       consequences, mat_apply, validate_multilinear)
-from .linalg import ONE, ZERO, RowSpan, as_scalar, combine, sparse
+                       consequences, validate_multilinear)
+from .linalg import ONE, ZERO, RowSpan, as_scalar, combine, sparse, stack
 
 DEFAULT_BUDGET = 100_776_960  # 6! * 2**6 * 3**7, the reference workload
 
@@ -103,23 +104,14 @@ def _step(a: Algebra, blocks: dict, imgs: list) -> dict:
     return out
 
 
-def _flat(blocks: dict, dim: int) -> dict:
-    """Evaluation row of a blocked row {t: w(t)}."""
-    return {t * dim + c: v for t, vec in blocks.items()
-            for c, v in vec.items()}
-
-
-def _images(a: Algebra, op) -> list:
-    return [mat_apply(op, {b: ONE}) for b in range(a.dim)]
-
-
 def monomial_row(a: Algebra, ob: OperatorBasis, m: DiffMonomial) -> dict:
     """Evaluation row of a single monomial (columns as above): the row of
     its labels in identity order, moved to its variable order."""
     blocks = {0: None}
     for h in m.labels:
-        blocks = _step(a, blocks, _images(a, ob.ops[h]))
-    return permuted_row(_flat(blocks, a.dim), m.perm, len(m.perm), a.dim)
+        blocks = _step(a, blocks, ob.ops[h])
+    return permuted_row(stack(blocks.items(), a.dim), m.perm, len(m.perm),
+                        a.dim)
 
 
 def poly_row(a: Algebra, ob: OperatorBasis, p: DiffPoly) -> dict:
@@ -143,19 +135,20 @@ class CodimResult:
     ordinary: RowSpan   # the same for identity labels only
 
 
-def _closure_rows(a: Algebra, images: list, n: int) -> RowSpan:
+def _closure_rows(a: Algebra, ops: Sequence, n: int) -> RowSpan:
     """The S_n-closure of the identity-order span at degree n, for the
-    labels whose image tables are given."""
+    labels of the given operators (their column images are the image
+    tables)."""
     dim = a.dim
     blocked = [{0: None}]
     for _ in range(n):
         # a basis of W_j stepped with every label spans W_(j+1)
         span = RowSpan()
-        steps = (_step(a, w, imgs) for w in blocked for imgs in images)
-        blocked = [w for w in steps if span.insert(_flat(w, dim))]
+        steps = (_step(a, w, op) for w in blocked for op in ops)
+        blocked = [w for w in steps if span.insert(stack(w.items(), dim))]
     # span holds W_n; every accepted row goes through every swap, and
     # rows accepted on the way join the list being walked
-    rows = [_flat(w, dim) for w in blocked]
+    rows = [stack(w.items(), dim) for w in blocked]
     swaps = adjacent_swaps(n)
     for row in rows:
         for g in swaps:
@@ -177,10 +170,9 @@ def codim(a: Algebra, ob: OperatorBasis, n: int,
         raise ValueError("degree must be at least 1")
     ensure_budget(n, 1 if ordinary_only else ob.k, a.dim, budget)
     ops = ob.ops[:1] if ordinary_only else ob.ops
-    images = [_images(a, op) for op in ops]
-    ordinary = _closure_rows(a, images[:1], n)
+    ordinary = _closure_rows(a, ops[:1], n)
     # with one label (ordinary_only, or a trivial action) they coincide
-    quotient = ordinary if len(images) == 1 else _closure_rows(a, images, n)
+    quotient = ordinary if len(ops) == 1 else _closure_rows(a, ops, n)
     return CodimResult(n=n, c_n_L=len(quotient), c_n_ordinary=len(ordinary),
                        quotient=quotient, ordinary=ordinary)
 
@@ -203,7 +195,7 @@ def evaluate(p: DiffPoly, args: Sequence, a: Algebra,
         # one image per position keeps the single block at t = 0
         blocks = {0: None}
         for v, h in zip(m.perm, m.labels):
-            blocks = _step(a, blocks, [mat_apply(ob.ops[h], args[v])])
+            blocks = _step(a, blocks, [combine(args[v], ob.ops[h])])
         out = combine({0: ONE, 1: coeff}, (out, blocks.get(0, {})))
     return out
 

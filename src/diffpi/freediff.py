@@ -22,44 +22,21 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import (CapExceeded, DiffSyntaxError, IntegrityError,
                      NotMultilinear, UnknownOperator)
-from .linalg import ONE, ZERO, RowSpan, coordinates
+from .linalg import ONE, ZERO, RowSpan, compose, coordinates, stack
 
-Matrix = tuple  # tuple of row tuples, acting on coordinate columns
-
-
-def mat_apply(m: Matrix, v: dict) -> dict:
-    """The matrix times a sparse vector, as a sparse vector."""
-    out = {}
-    for i, row in enumerate(m):
-        x = sum((row[j] * c for j, c in v.items()), ZERO)
-        if x:
-            out[i] = x
-    return out
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n) if a[i][k]), ZERO)
-                       for j in range(n)) for i in range(n))
-
-
-def mat_identity(n: int) -> Matrix:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n))
-                 for i in range(n))
-
-
-def _mat_flat(m: Matrix) -> dict:
-    n = len(m)
-    return {i * n + j: m[i][j] for i in range(n) for j in range(n) if m[i][j]}
+Matrix = tuple  # column images: m[j] = m(e_j), a sparse vector
 
 
 class OperatorBasis(NamedTuple):
     """Finite basis of the operator algebra generated by the action.
 
-    ops[0] is the identity with the empty word. words[i] names ops[i] as
-    a product of generator indices, leftmost letter applied last.
-    product_table[(i, j)] expands ops[i] o ops[j] in the basis, and
-    gen_action[g][j] expands generator g composed onto ops[j].
+    Each of ops is a Matrix, the tuple of its column images on the
+    algebra's basis, so ops[h][b] = op_h(e_b) is the image table that
+    evaluation reads. ops[0] is the identity with the empty word.
+    words[i] names ops[i] as a product of generator indices, leftmost
+    letter applied last. product_table[(i, j)] expands ops[i] o ops[j]
+    in the basis, and gen_action[g][j] expands generator g composed onto
+    ops[j].
     """
     dim: int
     gen_names: tuple
@@ -86,12 +63,12 @@ def operator_basis(a, act, degree_cap: int = 16) -> OperatorBasis:
     silently truncating.
     """
     dim = a.dim
-    gens = [d.matrix for d in act.generators]
+    gens = [d.columns for d in act.generators]
     names = tuple(d.name for d in act.generators)
-    ident = mat_identity(dim)
+    ident = tuple({j: ONE} for j in range(dim))
     span = RowSpan()
     if dim:
-        span.insert(_mat_flat(ident))
+        span.insert(stack(enumerate(ident), dim))
     ops = [ident]
     words = [()]
     frontier = [0]
@@ -101,8 +78,8 @@ def operator_basis(a, act, degree_cap: int = 16) -> OperatorBasis:
         new = []
         for j in frontier:
             for g, gm in enumerate(gens):
-                prod = mat_mul(gm, ops[j])
-                flat = _mat_flat(prod)
+                prod = compose(gm, ops[j])
+                flat = stack(enumerate(prod), dim)
                 if flat and span.insert(flat):
                     if length > degree_cap:
                         raise CapExceeded(
@@ -114,20 +91,21 @@ def operator_basis(a, act, degree_cap: int = 16) -> OperatorBasis:
                     new.append(len(ops) - 1)
         frontier = new
     # expand products in basis coordinates; the identity is the zero
-    # matrix only when dim == 0, and then it is the only operator
-    coords = coordinates([flat for flat in map(_mat_flat, ops) if flat])
+    # map only when dim == 0, and then it is the only operator
+    flats = [stack(enumerate(op), dim) for op in ops]
+    coords = coordinates([flat for flat in flats if flat])
 
     def expand(m: Matrix) -> dict:
-        combo = coords(_mat_flat(m))
+        combo = coords(stack(enumerate(m), dim))
         if combo is None:
             raise IntegrityError("operator span not closed under composition")
         return combo
     product_table = {}
     for i in range(len(ops)):
         for j in range(len(ops)):
-            product_table[(i, j)] = expand(mat_mul(ops[i], ops[j]))
+            product_table[(i, j)] = expand(compose(ops[i], ops[j]))
     gen_action = tuple(
-        tuple(expand(mat_mul(gm, ops[j])) for j in range(len(ops)))
+        tuple(expand(compose(gm, ops[j])) for j in range(len(ops)))
         for gm in gens)
     return OperatorBasis(dim=dim, gen_names=names, ops=tuple(ops),
                          words=tuple(words), product_table=product_table,

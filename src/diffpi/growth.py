@@ -20,8 +20,8 @@ from .algebra import (Algebra, AlgebraWithDerivations, Derivation,
                       wedderburn)
 from .characters import cocharacter, support_check, support_violations
 from .errors import BudgetExceeded, IntegrityError, NotPolynomialGrowth
-from .freediff import mat_apply, operator_basis
-from .linalg import ZERO, RowSpan, coordinates
+from .freediff import operator_basis
+from .linalg import RowSpan, combine, coordinates, to_rows
 
 
 def _span_products(a: Algebra, left: Sequence[dict],
@@ -218,10 +218,8 @@ def _subalgebra(a: Algebra, basis: Sequence, labels: Sequence[str],
     sub = Algebra(dim=m, basis_labels=tuple(labels), table=table, unit=None)
     new_gens = []
     for g in gens:
-        cols = [coords(mat_apply(g.matrix, v)) for v in basis]
-        mat = tuple(tuple(cols[j].get(i, ZERO) for j in range(m))
-                    for i in range(m))
-        new_gens.append(Derivation(name=g.name, matrix=mat))
+        cols = [coords(combine(v, g.columns)) for v in basis]
+        new_gens.append(Derivation(name=g.name, matrix=to_rows(cols)))
     return AlgebraWithDerivations(sub, make_action(sub, new_gens))
 
 

@@ -11,6 +11,11 @@ All pivot choices are deterministic: columns are cleared left to right,
 by the earliest inserted row in RowSpan. Same input, same pivots, same
 output. nullspace, solve and coordinates read the reduced echelon form,
 which is unique for a span.
+
+A linear map is a tuple of column images, f[j] = f(e_j) as a sparse
+vector: combine(v, f) applies f to v, compose(f, g) is f after g, and
+stack(enumerate(f), n) flattens f into one vector. A linear system is
+given the same way, by its sparse columns.
 """
 
 from __future__ import annotations
@@ -54,6 +59,36 @@ def combine(coeffs: dict, vectors: Sequence[dict]) -> dict:
     return {k: x for k, x in out.items() if x}
 
 
+def stack(pairs: Iterable, width: int) -> dict:
+    """The vectors of the (position, vector) pairs laid side by side:
+    entry c of the vector at position t goes to column t*width + c. The
+    positions are distinct and every vector has fewer than width
+    coordinates."""
+    return {t * width + c: x for t, v in pairs for c, x in v.items()}
+
+
+def to_columns(rows: Sequence[Sequence]) -> tuple:
+    """The column images of a square dense matrix: f[j] = f(e_j)."""
+    return tuple({i: row[j] for i, row in enumerate(rows) if row[j]}
+                 for j in range(len(rows)))
+
+
+def to_rows(f: Sequence[dict]) -> tuple:
+    """The dense rows of a square map held as column images."""
+    n = len(f)
+    return tuple(tuple(f[j].get(i, ZERO) for j in range(n)) for i in range(n))
+
+
+def compose(f: Sequence[dict], g: Sequence[dict]) -> tuple:
+    """f after g, for maps held as column images."""
+    return tuple(combine(c, f) for c in g)
+
+
+def trace(f: Sequence[dict]) -> Fraction:
+    """The trace of a square map held as column images."""
+    return sum((c.get(j, ZERO) for j, c in enumerate(f)), ZERO)
+
+
 def reduced_echelon(rows: Iterable[dict]) -> dict:
     """Reduced row echelon form of the span of the rows, as
     {pivot column: row}; unique for the span, so it does not depend on
@@ -64,17 +99,26 @@ def reduced_echelon(rows: Iterable[dict]) -> dict:
     return span.reduced_rows()
 
 
-def nullspace(rows: Sequence[Sequence]) -> list[dict]:
-    """Basis of the right kernel of the dense rows, as sparse vectors
-    over the columns of the longest row.
+def _transposed(cols: Sequence[dict]) -> list[dict]:
+    """The rows of the system whose sparse columns are given, in
+    increasing row index."""
+    rows: dict = {}
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows.setdefault(i, {})[j] = x
+    return [rows[i] for i in sorted(rows)]
+
+
+def nullspace(cols: Sequence[dict]) -> list[dict]:
+    """Basis of the kernel of the system with the given sparse columns,
+    the x with sum of x[j] times cols[j] equal to 0, as sparse vectors.
 
     One basis vector per free column, in increasing column order, with a
     1 in the free position. Exact and deterministic.
     """
-    ncols = max((len(r) for r in rows), default=0)
-    rref = reduced_echelon(sparse(r) for r in rows)
+    rref = reduced_echelon(_transposed(cols))
     basis = []
-    for free in range(ncols):
+    for free in range(len(cols)):
         if free in rref:
             continue
         vec = {free: ONE}
@@ -86,32 +130,22 @@ def nullspace(rows: Sequence[Sequence]) -> list[dict]:
     return basis
 
 
-def solve(rows: Sequence[Sequence], b: Sequence) -> Optional[dict]:
-    """One exact solution of rows · x = b as a sparse vector, or None if
+def solve(cols: Sequence[dict], b: dict) -> Optional[dict]:
+    """One exact solution x of sum of x[j] times cols[j] equal to b, for
+    sparse columns and a sparse b, as a sparse vector; None if
     inconsistent.
 
     Free variables are set to zero, which fixes the returned solution
     uniquely: it is read off the reduced echelon form.
     """
-    if len(b) != len(rows):
-        raise ValueError("rhs length mismatch")
-    ncols = max((len(r) for r in rows), default=0)
-    aug = []
-    for r, rhs in zip(rows, b):
-        row = sparse(r)
-        v = as_scalar(rhs)
-        if v:
-            row[ncols] = v
-        aug.append(row)
-    rref = reduced_echelon(aug)
-    if ncols in rref:
+    n = len(cols)
+    rref = reduced_echelon(_transposed([*cols, b]))
+    if n in rref:
         return None
-    x = {c: row[ncols] for c, row in rref.items() if ncols in row}
+    x = {c: row[n] for c, row in rref.items() if n in row}
     # paranoia: residual check is cheap at our sizes
-    for r, rhs in zip(rows, b):
-        s = sum((v * r[j] for j, v in x.items()), ZERO)
-        if s != as_scalar(rhs):
-            return None
+    if combine(x, cols) != {i: v for i, v in b.items() if v}:
+        return None
     return x
 
 

@@ -10,8 +10,7 @@ from diffpi import (DEFAULT_BUDGET, BudgetExceeded, DiffMonomial, DiffPoly,
                     evaluate, evaluation_cost, is_identity, operator_basis,
                     parse_diff_poly)
 from diffpi.codim import monomial_row, poly_row
-from diffpi.freediff import mat_apply
-from diffpi.linalg import RowSpan, reduced_echelon
+from diffpi.linalg import RowSpan, combine, reduced_echelon
 
 F = Fraction
 
@@ -25,7 +24,7 @@ def sweep_row(a, ob, m):
     for t in product(range(dim), repeat=n):
         vec = None
         for p in range(n):
-            img = mat_apply(ob.ops[m.labels[p]], {t[m.perm[p]]: F(1)})
+            img = combine({t[m.perm[p]]: F(1)}, ob.ops[m.labels[p]])
             vec = img if vec is None else a.product(vec, img)
             if not vec:
                 break
@@ -89,7 +88,7 @@ def greedy_quotient(a, ob, n, labels=None):
     """
     dim = a.dim
     labels = range(ob.k) if labels is None else labels
-    images = [[mat_apply(op, {b: F(1)}) for b in range(dim)]
+    images = [[combine({b: F(1)}, op) for b in range(dim)]
               for op in ob.ops]
     tensors = {}
     for h in product(labels, repeat=n):
@@ -190,13 +189,13 @@ def test_ordinary_only_matches_full_ordinary_quotient(m2sl2, m2sl2_ob, n,
     # diffpi.codim is the re-exported function, not the module
     module = importlib.import_module("diffpi.codim")
     applied = []
-    apply = module.mat_apply
+    step = module._step
 
-    def recorded_apply(m, v):
-        applied.append(m)
-        return apply(m, v)
+    def recorded_step(a, blocks, imgs):
+        applied.append(imgs)
+        return step(a, blocks, imgs)
 
-    monkeypatch.setattr(module, "mat_apply", recorded_apply)
+    monkeypatch.setattr(module, "_step", recorded_step)
     r = codim(m2sl2.algebra, m2sl2_ob, n, ordinary_only=True)
     # no label other than the identity is evaluated
     assert applied and all(m == m2sl2_ob.ops[0] for m in applied)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diffpi import linalg
 from diffpi.linalg import (RowSpan, as_scalar, coordinates, nullspace,
@@ -12,6 +12,17 @@ F = Fraction
 
 def dense(rows):
     return [[F(x) for x in r] for r in rows]
+
+
+def columns(rows):
+    """The sparse columns of a system given by dense rows, the form that
+    nullspace and solve take."""
+    return [{i: r[j] for i, r in enumerate(rows) if r[j]}
+            for j in range(len(rows[0]))]
+
+
+def vector(xs):
+    return {i: x for i, x in enumerate(xs) if x}
 
 
 def rank(rows):
@@ -37,7 +48,7 @@ def test_rank_rectangular_and_fractions():
 def test_nullspace_kernel_property():
     rows = [[1, 2, 3], [4, 5, 6]]
     m = dense(rows)
-    ns = nullspace(m)
+    ns = nullspace(columns(m))
     assert len(ns) == 1
     for v in ns:
         for r in rows:
@@ -45,23 +56,23 @@ def test_nullspace_kernel_property():
 
 
 def test_nullspace_full_rank_empty():
-    assert nullspace(dense([[2, 0], [0, 3]])) == []
+    assert nullspace(columns(dense([[2, 0], [0, 3]]))) == []
 
 
 def test_solve_consistent():
     m = dense([[1, 1], [1, -1]])
-    x = solve(m, [F(3), F(1)])
+    x = solve(columns(m), vector([F(3), F(1)]))
     assert x == {0: F(2), 1: F(1)}
 
 
 def test_solve_inconsistent_returns_none():
     m = dense([[1, 1], [2, 2]])
-    assert solve(m, [F(1), F(3)]) is None
+    assert solve(columns(m), vector([F(1), F(3)])) is None
 
 
 def test_solve_underdetermined_has_zero_free_vars():
     m = dense([[1, 1, 1]])
-    x = solve(m, [F(5)])
+    x = solve(columns(m), vector([F(5)]))
     assert x is not None
     assert sum(x.values()) == 5
 
@@ -136,7 +147,7 @@ def int_matrix(draw):
 @given(int_matrix())
 def test_rank_nullity(rows):
     r = rank(rows)
-    ns = nullspace(rows)
+    ns = nullspace(columns(rows))
     assert 0 <= r <= min(len(rows), len(rows[0]))
     assert r + len(ns) == len(rows[0])
     for v in ns:
@@ -150,7 +161,7 @@ def test_solve_roundtrip(rows, data):
     ncols = len(rows[0])
     x = [F(data.draw(small_int)) for _ in range(ncols)]
     b = [sum(r[j] * x[j] for j in range(ncols)) for r in rows]
-    y = solve(rows, b)
+    y = solve(columns(rows), vector(b))
     assert y is not None
     for r, want in zip(rows, b):
         assert sum(r[j] * v for j, v in y.items()) == want
@@ -161,7 +172,7 @@ def test_solve_roundtrip(rows, data):
 def test_rowspan_size_matches_rank(rows):
     # nullspace() is built on RowSpan too, but reads the reduced echelon
     # form: its free columns must be what the pivots leave over
-    assert rank(rows) == len(rows[0]) - len(nullspace(rows))
+    assert rank(rows) == len(rows[0]) - len(nullspace(columns(rows)))
 
 
 def rational_pivots(rows):
@@ -238,16 +249,16 @@ def test_nullspace_and_solve_match_gauss_jordan(rows, data):
         for c, row in rref.items():
             vec[c] = -row[free]
         want.append({j: v for j, v in enumerate(vec) if v})
-    assert nullspace(rows) == want
+    assert nullspace(columns(rows)) == want
     b = [data.draw(fraction) for _ in rows]
     aug = gauss_jordan([r + [x] for r, x in zip(rows, b)], ncols + 1)
     if ncols in aug:
-        assert solve(rows, b) is None
+        assert solve(columns(rows), vector(b)) is None
     else:
         x = [F(0)] * ncols
         for c, row in aug.items():
             x[c] = row[ncols]
-        assert solve(rows, b) == {j: v for j, v in enumerate(x) if v}
+        assert solve(columns(rows), vector(b)) == vector(x)
 
 
 @settings(max_examples=80, deadline=None)
@@ -287,3 +298,44 @@ def test_coordinates_edge_cases():
     coords = coordinates([{1: F(2)}, {0: F(1), 1: F(1)}])
     assert coords({0: F(3), 1: F(5)}) == {0: F(1), 1: F(3)}
     assert coords({2: F(1)}) is None
+
+
+def mat_mul(x, y):
+    """Reference: the dense row-matrix product x y."""
+    n = len(x)
+    return [[sum((x[i][k] * y[k][j] for k in range(n)), F(0))
+             for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def square_pair(draw):
+    n = draw(st.integers(min_value=0, max_value=4))
+    entry = st.one_of(st.just(F(0)), fraction)
+    return tuple([[draw(entry) for _ in range(n)] for _ in range(n)]
+                 for _ in range(2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_pair(), st.lists(st.integers(0, 3), max_size=4, unique=True))
+@example(([[F(0), F(1)], [F(0), F(0)]], [[F(1), F(0)], [F(0), F(0)]]), [0, 1])
+def test_map_helpers_match_dense_matrices(pair, positions):
+    x, y = pair
+    n = len(x)
+    f, g = linalg.to_columns(x), linalg.to_columns(y)
+    # column j is the image of e_j, without zeros
+    assert f == tuple(vector([x[i][j] for i in range(n)]) for j in range(n))
+    assert linalg.to_rows(f) == tuple(map(tuple, x))
+    # f after g is the matrix product x y, never y x
+    assert linalg.compose(f, g) == linalg.to_columns(mat_mul(x, y))
+    assert linalg.trace(f) == sum((x[i][i] for i in range(n)), F(0))
+    assert linalg.trace(linalg.compose(f, g)) == sum(
+        (mat_mul(x, y)[i][i] for i in range(n)), F(0))
+    # applying f is combine(v, f)
+    v = vector([F(j + 1) for j in range(n)])
+    assert linalg.combine(v, f) == vector(
+        [sum((x[i][j] * v.get(j, F(0)) for j in range(n)), F(0))
+         for i in range(n)])
+    # stack lays the chosen columns side by side, each in a block of n
+    chosen = [p for p in positions if p < n]
+    flat = linalg.stack(((t, f[p]) for t, p in enumerate(chosen)), n)
+    assert flat == vector([x[i][p] for p in chosen for i in range(n)])
