@@ -13,8 +13,8 @@ from .characters import (CocharacterTable, cocharacter, cycle_type_class_size,
                          support_check, support_violations)
 from .codim import (DEFAULT_BUDGET, CodimResult, codim, codim_via_ideal,
                     consequences_cost, evaluate, evaluation_cost, is_identity)
-from .errors import (BudgetExceeded, CapExceeded, DiffPiError,
-                     DiffSyntaxError, IntegrityError, InvariantViolation,
+from .errors import (BudgetExceeded, DiffPiError, DiffSyntaxError,
+                     IntegrityError, InvariantViolation,
                      NonIntegerMultiplicity, NonSplit, NotMultilinear,
                      NotPolynomialGrowth, UnknownBuiltin, UnknownOperator)
 from .freediff import (DiffMonomial, DiffPoly, OperatorBasis, apply_word,

@@ -238,6 +238,20 @@ def radical(a: Algebra) -> list[Vector]:
                       for j in range(a.dim)])
 
 
+def span_products(a: Algebra, left: Sequence[Vector],
+                  right: Sequence[Vector]) -> list[Vector]:
+    """Basis of span{u v : u in left, v in right}: the products that
+    are independent of the ones before them, in that order."""
+    span = RowSpan()
+    out = []
+    for u in left:
+        for v in right:
+            w = a.product(u, v)
+            if span.insert(w):
+                out.append(w)
+    return out
+
+
 def radical_powers(a: Algebra, rad: Sequence[Vector]) -> list[list[Vector]]:
     """Bases of J, J^2, ... down to the last nonzero power.
 
@@ -248,13 +262,7 @@ def radical_powers(a: Algebra, rad: Sequence[Vector]) -> list[list[Vector]]:
     current = list(rad)
     while current:
         powers.append(current)
-        span = RowSpan()
-        nxt = []
-        for u in rad:
-            for v in current:
-                w = a.product(u, v)
-                if span.insert(w):
-                    nxt.append(w)
+        nxt = span_products(a, rad, current)
         if len(nxt) >= len(current):
             raise InvariantViolation("radical chain does not shrink; "
                                      "input is not associative nilpotent")

@@ -46,6 +46,20 @@ class AlgebraFileError(DiffPiError):
     """Malformed algebra or generator file; maps to the usage exit code."""
 
 
+# an error exits with the code of its nearest ancestor in this table
+EXIT_CODES = {
+    AlgebraFileError: EXIT_USAGE, DiffSyntaxError: EXIT_USAGE,
+    NotMultilinear: EXIT_USAGE, UnknownOperator: EXIT_USAGE,
+    InvariantViolation: EXIT_INVARIANT, NotPolynomialGrowth: EXIT_INVARIANT,
+    NonSplit: EXIT_NONSPLIT, BudgetExceeded: EXIT_BUDGET,
+    IntegrityError: EXIT_INTEGRITY}
+
+
+def exit_code(error: type) -> int:
+    """The exit code of an error class, from EXIT_CODES."""
+    return next(EXIT_CODES[c] for c in error.__mro__ if c in EXIT_CODES)
+
+
 def _rat(x, where: str) -> Fraction:
     """Exact rational from a JSON scalar. Floats are rejected so no
     inexact value can enter a computation."""
@@ -140,6 +154,8 @@ def parse_algebra_file(data) -> tuple[Algebra, tuple]:
                 or set(entry) != {"name", "matrix"}
                 or not isinstance(entry["name"], str)):
             raise AlgebraFileError(f"{where}: expected {{name, matrix}}")
+        if not entry["name"]:
+            raise AlgebraFileError(f"{where}.name: must be nonempty")
         mraw = entry["matrix"]
         if (not isinstance(mraw, list) or len(mraw) != dim
                 or any(not isinstance(r, list) or len(r) != dim for r in mraw)):
@@ -656,30 +672,14 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     try:
         loaded, results, warnings, code = _DISPATCH[args.command](args)
-    except (AlgebraFileError, DiffSyntaxError, NotMultilinear,
-            UnknownOperator) as e:
+    except DiffPiError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except NonSplit as e:
-        print(f"error: {e}", file=sys.stderr)
-        print("hint: the semisimple part does not split over the "
-              "rationals with this search seed; retry with another "
-              "--seed or supply a split form of the algebra",
-              file=sys.stderr)
-        return EXIT_NONSPLIT
-    except BudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except NotPolynomialGrowth as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except InvariantViolation as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except IntegrityError as e:
-        # includes NonIntegerMultiplicity
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INTEGRITY
+        if isinstance(e, NonSplit):
+            print("hint: the semisimple part does not split over the "
+                  "rationals with this search seed; retry with another "
+                  "--seed or supply a split form of the algebra",
+                  file=sys.stderr)
+        return exit_code(type(e))
     report = _report(args, loaded, results, warnings)
     _emit(report, args.format, args.out)
     return code

@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-Error classes map onto CLI exit codes, see cli.EXIT_CODES.
+Every class maps onto a CLI exit code from 1 to 5, by its nearest
+ancestor in cli.EXIT_CODES; the CLI catches DiffPiError once.
 """
 
 
@@ -24,15 +25,6 @@ class UnknownBuiltin(InvariantViolation):
 class NonSplit(DiffPiError):
     """The semisimple quotient does not split over the rationals, or the
     splitting search exhausted its retry budget."""
-
-
-class CapExceeded(DiffPiError):
-    """Operator word closure did not stabilize within the degree cap."""
-
-    def __init__(self, message, cap=None, reached=None):
-        super().__init__(message)
-        self.cap = cap
-        self.reached = reached
 
 
 class BudgetExceeded(DiffPiError):

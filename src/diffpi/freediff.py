@@ -20,29 +20,25 @@ from itertools import combinations, product
 from math import factorial
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import (CapExceeded, DiffSyntaxError, IntegrityError,
-                     NotMultilinear, UnknownOperator)
+from .errors import (DiffSyntaxError, IntegrityError, NotMultilinear,
+                     UnknownOperator)
 from .linalg import ONE, ZERO, RowSpan, compose, coordinates, stack
-
-Matrix = tuple  # column images: m[j] = m(e_j), a sparse vector
 
 
 class OperatorBasis(NamedTuple):
-    """Finite basis of the operator algebra generated by the action.
+    """Finite basis of the operator algebra E generated by the action.
 
-    Each of ops is a Matrix, the tuple of its column images on the
-    algebra's basis, so ops[h][b] = op_h(e_b) is the image table that
-    evaluation reads. ops[0] is the identity with the empty word.
+    Each of ops is a linear map held as the tuple of its column images
+    on the algebra's basis, so ops[h][b] = op_h(e_b) is the image table
+    that evaluation reads. ops[0] is the identity with the empty word.
     words[i] names ops[i] as a product of generator indices, leftmost
-    letter applied last. product_table[(i, j)] expands ops[i] o ops[j]
-    in the basis, and gen_action[g][j] expands generator g composed onto
-    ops[j].
+    letter applied last. gen_action[g][j] expands generator g composed
+    onto ops[j] in the basis: it is all of E's multiplication that the
+    Leibniz rule needs.
     """
-    dim: int
     gen_names: tuple
     ops: tuple
     words: tuple
-    product_table: dict
     gen_action: tuple
 
     @property
@@ -53,62 +49,42 @@ class OperatorBasis(NamedTuple):
         return "".join(self.gen_names[g] for g in self.words[label])
 
 
-def operator_basis(a, act, degree_cap: int = 16) -> OperatorBasis:
+def operator_basis(a, act) -> OperatorBasis:
     """Close the generating derivations into an operator basis.
 
-    Breadth first on words: each round composes every generator onto the
-    previous round's new operators and keeps those independent from the
-    span so far. Stops when a round adds nothing. If the cap is reached
-    while new operators still appear, raises CapExceeded rather than
-    silently truncating.
+    Breadth first on words, with ops as its own queue: each operator in
+    turn has every generator composed onto it, and a product independent
+    from the span so far joins the end of ops. So round r's operators
+    are the words of length r that survive. The loop ends because every
+    operator it appends raises the span's dimension, and the span lies
+    in End(A): there are at most dim^2 of them. Each product is composed
+    once, and its coordinates in the final basis are gen_action.
     """
     dim = a.dim
     gens = [d.columns for d in act.generators]
-    names = tuple(d.name for d in act.generators)
-    ident = tuple({j: ONE} for j in range(dim))
-    span = RowSpan()
-    if dim:
-        span.insert(stack(enumerate(ident), dim))
-    ops = [ident]
+    ops = [tuple({j: ONE} for j in range(dim))]
     words = [()]
-    frontier = [0]
-    length = 0
-    while frontier:
-        length += 1
-        new = []
-        for j in frontier:
-            for g, gm in enumerate(gens):
-                prod = compose(gm, ops[j])
-                flat = stack(enumerate(prod), dim)
-                if flat and span.insert(flat):
-                    if length > degree_cap:
-                        raise CapExceeded(
-                            f"operator closure still growing past word "
-                            f"length {degree_cap}",
-                            cap=degree_cap, reached=len(ops))
-                    ops.append(prod)
-                    words.append((g,) + words[j])
-                    new.append(len(ops) - 1)
-        frontier = new
-    # expand products in basis coordinates; the identity is the zero
-    # map only when dim == 0, and then it is the only operator
-    flats = [stack(enumerate(op), dim) for op in ops]
-    coords = coordinates([flat for flat in flats if flat])
-
-    def expand(m: Matrix) -> dict:
-        combo = coords(stack(enumerate(m), dim))
-        if combo is None:
-            raise IntegrityError("operator span not closed under composition")
-        return combo
-    product_table = {}
-    for i in range(len(ops)):
-        for j in range(len(ops)):
-            product_table[(i, j)] = expand(compose(ops[i], ops[j]))
-    gen_action = tuple(
-        tuple(expand(compose(gm, ops[j])) for j in range(len(ops)))
-        for gm in gens)
-    return OperatorBasis(dim=dim, gen_names=names, ops=tuple(ops),
-                         words=tuple(words), product_table=product_table,
+    basis = [stack(enumerate(ops[0]), dim)]  # the flattened operators
+    span = RowSpan()
+    span.insert(basis[0])
+    prods = [[] for _ in gens]  # prods[g][j] flattens gens[g] o ops[j]
+    for j, op in enumerate(ops):  # reads the operators it appends
+        for g, gm in enumerate(gens):
+            prod = compose(gm, op)
+            flat = stack(enumerate(prod), dim)
+            prods[g].append(flat)
+            if flat and span.insert(flat):
+                ops.append(prod)
+                words.append((g,) + words[j])
+                basis.append(flat)
+    # the identity is the zero map only when dim == 0, and then it is
+    # the only operator
+    coords = coordinates(basis if dim else [])
+    gen_action = tuple(tuple(map(coords, row)) for row in prods)
+    if any(None in row for row in gen_action):
+        raise IntegrityError("operator span not closed under composition")
+    return OperatorBasis(gen_names=tuple(d.name for d in act.generators),
+                         ops=tuple(ops), words=tuple(words),
                          gen_action=gen_action)
 
 

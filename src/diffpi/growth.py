@@ -17,24 +17,11 @@ from typing import Optional, Sequence
 
 from .algebra import (Algebra, AlgebraWithDerivations, Derivation,
                       WedderburnData, check_l_stability, make_action,
-                      wedderburn)
-from .characters import cocharacter, support_check, support_violations
+                      span_products, wedderburn)
+from .characters import cocharacter, support_violations
 from .errors import BudgetExceeded, IntegrityError, NotPolynomialGrowth
 from .freediff import operator_basis
-from .linalg import RowSpan, combine, coordinates, to_rows
-
-
-def _span_products(a: Algebra, left: Sequence[dict],
-                   right: Sequence[dict]) -> list[dict]:
-    """Basis of span{u v : u in left, v in right}, as sparse vectors."""
-    span = RowSpan()
-    out = []
-    for u in left:
-        for v in right:
-            w = a.product(u, v)
-            if span.insert(w):
-                out.append(w)
-    return out
+from .linalg import combine, coordinates, to_rows
 
 
 def exponent(a: Algebra, wd: Optional[WedderburnData] = None) -> int:
@@ -62,11 +49,11 @@ def exponent(a: Algebra, wd: Optional[WedderburnData] = None) -> int:
         best = max(best, total)
         if best == full:
             return
-        through = _span_products(a, span, rad)
+        through = span_products(a, span, rad)
         if not through:
             return
         nxt = [(i, s) for i, bb in enumerate(blocks)
-               if i not in used and (s := _span_products(a, through, bb))]
+               if i not in used and (s := span_products(a, through, bb))]
         reach = total + sum(len(blocks[i]) for i, _ in nxt)
         for i, s in nxt:
             if reach <= best:
@@ -164,12 +151,12 @@ def classify(awd: AlgebraWithDerivations, max_n: int = 3, seed: int = 0,
             break
         c_vals.append(table.c_n_L)
         c_ord_vals.append(table.c_n)
-        ok = support_check(table, wd.nilpotency_index)
+        violations = support_violations(table, wd.nilpotency_index)
+        ok = not violations
         support_by_n[n] = {
             "holds": ok,
-            "violations": [
-                {"partition": list(lam), "multiplicity": m}
-                for lam, m in support_violations(table, wd.nilpotency_index)],
+            "violations": [{"partition": list(lam), "multiplicity": m}
+                           for lam, m in violations],
         }
         support_ok = ok if support_ok is None else (support_ok and ok)
     condition_results = {

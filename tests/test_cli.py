@@ -1,6 +1,7 @@
 import json
 
-from diffpi.cli import main
+from diffpi import DiffPiError
+from diffpi.cli import AlgebraFileError, exit_code, main
 
 UT2EPS_GENS_FILE = """\
 # generators of the UT2eps identity ideal
@@ -281,6 +282,9 @@ def test_algebra_file_schema_errors(capsys, tmp_path):
         ("dupcell", json.dumps({"dim": 1, "basis": ["x"],
                                 "table": [[0, 0, [[0, 1]]],
                                           [0, 0, [[0, 1]]]]})),
+        ("emptyname", json.dumps({"dim": 1, "basis": ["x"], "table": [],
+                                  "derivations": [{"name": "",
+                                                   "matrix": [[0]]}]})),
     ]
     for name, text in cases:
         f = tmp_path / f"{name}.json"
@@ -336,3 +340,14 @@ def test_file_and_builtin_digests_differ(capsys, tmp_path):
     code, rep2, err = run_json(capsys, "validate", str(f))
     assert rep1["input"]["sha256"] != rep2["input"]["sha256"]
     assert rep1["results"] == rep2["results"]
+
+
+def test_every_error_class_has_an_exit_code():
+    seen, todo = [], [DiffPiError]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        seen.append(cls)
+    assert AlgebraFileError in seen
+    for cls in seen[1:]:
+        assert 1 <= exit_code(cls) <= 5, cls.__name__

@@ -1,20 +1,52 @@
+import json
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import PARSER_CORPUS
-from diffpi import (CapExceeded, DiffPoly, DiffSyntaxError, NotMultilinear,
+from corpus import PARSER_CORPUS, random_split_algebra
+from diffpi import (DiffPoly, DiffSyntaxError, NotMultilinear,
                     UnknownOperator, builtin, codim, codim_via_ideal,
                     consequences, derive_poly, format_diff_poly,
                     operator_basis, parse_diff_poly, sn_act,
                     validate_multilinear)
+from diffpi import freediff
+from diffpi.cli import main
 from diffpi.freediff import (DiffMonomial, _poly_row, adjacent_swaps,
                              apply_word, monomial_index, perm_rank)
 from diffpi.linalg import RowSpan
+from test_linalg import gauss_jordan
 
 F = Fraction
+
+
+def _after(f, g):
+    """f after g, for maps held as column images."""
+    out = []
+    for col in g:
+        img = {}
+        for i, c in col.items():
+            for r, x in f[i].items():
+                img[r] = img.get(r, 0) + c * x
+        out.append({r: x for r, x in img.items() if x})
+    return tuple(out)
+
+
+def _coordinates(basis, m):
+    """The coordinates of the map m in the maps of basis, by Gauss-Jordan
+    on their dense entries, or None when m is outside their span."""
+    dim = len(m)
+
+    def entries(f):
+        return [f[j].get(i, F(0)) for j in range(dim) for i in range(dim)]
+    k = len(basis)
+    aug = gauss_jordan([list(row) + [x] for row, x in zip(
+        zip(*map(entries, basis)), entries(m))], k + 1)
+    if k in aug:
+        return None
+    assert sorted(aug) == list(range(k))
+    return {i: aug[i][k] for i in range(k) if aug[i][k]}
 
 
 def test_operator_basis_ut2eps(ut2eps, ut2eps_ob):
@@ -22,10 +54,30 @@ def test_operator_basis_ut2eps(ut2eps, ut2eps_ob):
     assert ob.gen_names == ("eps",)
     assert ob.k == 2
     assert ob.words[0] == ()
-    # closure: every product of basis operators lies in the basis span
-    for i in range(ob.k):
-        for j in range(ob.k):
-            assert (i, j) in ob.product_table
+    # closure: every product of basis operators lies in the basis span,
+    # and gen_action writes generator products in the basis
+    for awd in (ut2eps, builtin("M2sl2"), random_split_algebra(16)):
+        ob = operator_basis(awd.algebra, awd.action)
+        for f in ob.ops:
+            for g in ob.ops:
+                assert _coordinates(ob.ops, _after(f, g)) is not None
+        for g, gen in enumerate(awd.action.generators):
+            for j, op in enumerate(ob.ops):
+                assert ob.gen_action[g][j] == _coordinates(
+                    ob.ops, _after(gen.columns, op))
+
+
+def test_operator_basis_composes_each_product_once(monkeypatch, m2sl2):
+    calls = []
+    inner = freediff.compose
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(freediff, "compose", counted)
+    ob = operator_basis(m2sl2.algebra, m2sl2.action)
+    assert len(calls) == len(ob.gen_names) * ob.k == 30
 
 
 def test_operator_basis_m2sl2(m2sl2_ob):
@@ -40,10 +92,20 @@ def test_operator_basis_trivial_action():
     assert ob.gen_names == ()
 
 
-def test_operator_basis_cap():
-    awd = builtin("UT2eps")
-    with pytest.raises(CapExceeded):
-        operator_basis(awd.algebra, awd.action, degree_cap=0)
+def test_operator_basis_long_words_cli(capsys, tmp_path):
+    # zero product and one nilpotent Jordan block d, so E is spanned by
+    # 1, d, ..., d^17: words up to length 17, all of them independent
+    dim = 18
+    jordan = [[int(i == j + 1) for j in range(dim)] for i in range(dim)]
+    f = tmp_path / "jordan18.json"
+    f.write_text(json.dumps({
+        "dim": dim, "basis": [f"e{i}" for i in range(dim)], "table": [],
+        "derivations": [{"name": "d", "matrix": jordan}]}))
+    code = main(["codim", str(f), "--max-n", "2", "--format", "json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert rep["results"]["rows"] == [
+        {"n": 1, "c_n_L": 18, "c_n": 1}, {"n": 2, "c_n_L": 0, "c_n": 0}]
 
 
 @pytest.mark.parametrize("src", PARSER_CORPUS)

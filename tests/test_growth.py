@@ -270,12 +270,12 @@ def test_exponent_span_products_are_polynomial(monkeypatch):
     a = builtin("UTk(11)").algebra
     wd = wedderburn(a)
     calls = []
-    inner = growth._span_products
+    inner = growth.span_products
 
     def counted(*args):
         calls.append(1)
         return inner(*args)
 
-    monkeypatch.setattr(growth, "_span_products", counted)
+    monkeypatch.setattr(growth, "span_products", counted)
     assert exponent(a, wd) == 11
     assert len(calls) <= 2 * 11 ** 2
