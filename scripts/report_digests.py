@@ -58,6 +58,10 @@ CALLS = (
     ["validate", "UT2eps"],
     ["decompose", "skewed.json"],
     ["exponent", "skewed.json"],
+    ["decompose", "M2sl2"],
+    ["decompose", "Mk(2)+Mk(3)+UTk(2)"],
+    ["exponent", "Mk(2)+UTk(3)"],
+    ["classify", "Mk(2)+UTk(2)"],
 )
 
 

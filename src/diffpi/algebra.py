@@ -3,10 +3,11 @@
 An Algebra is a structure constant table on a chosen basis. Derivations
 are matrices checked against the Leibniz rule. The module computes the
 nil radical (trace form criterion on the unitalization), a rational
-splitting of the semisimple quotient into simple blocks, a multiplicative
-section lifting the quotient back into the algebra (so block idempotents
-are exact), and the decomposition of a derivation into an inner part and
-a remainder vanishing on the lifted complement.
+splitting of the semisimple quotient into simple blocks by its primitive
+central idempotents, a multiplicative section lifting the quotient back
+into the algebra (so block idempotents are exact), and the decomposition
+of a derivation into an inner part and a remainder vanishing on the
+lifted complement.
 
 Every algebra element is a sparse vector, a dict {index: Fraction}
 holding only the nonzero coordinates; Algebra.product is the one
@@ -26,7 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt
+from math import isqrt, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (IntegrityError, InvariantViolation, NonSplit,
@@ -172,21 +173,18 @@ def make_action(a: Algebra, gens: Sequence[Derivation]) -> DerivationAction:
             raise InvariantViolation(
                 f"derivation {d.name} violates the Leibniz rule on basis "
                 f"pair {w}", witness=w)
+    # right-normed brackets [g1, [g2, ... [g(r-1), gr]]] span the Lie
+    # algebra the generators make, so close span(gens) under ad of each
+    # generator, with basis as its own queue
     span = RowSpan()
-    basis = []
-    for d in gens:
-        if span.insert(stack(enumerate(d.columns), a.dim)):
-            basis.append(d.columns)
-    frontier = list(basis)
-    while frontier:
-        new = []
-        for x in list(basis):
-            for y in frontier:
-                c = _commutator(x, y)
-                if span.insert(stack(enumerate(c), a.dim)):
-                    basis.append(c)
-                    new.append(c)
-        frontier = new
+    basis = [d.columns for d in gens
+             if span.insert(stack(enumerate(d.columns), a.dim))]
+    independent = list(basis)
+    for x in basis:  # reads the brackets it appends
+        for g in independent:
+            c = _commutator(g, x)
+            if span.insert(stack(enumerate(c), a.dim)):
+                basis.append(c)
     # Killing form on the closed Lie algebra; column j of ad_b is the
     # coordinates of [b, basis_j]
     nondeg = True
@@ -319,11 +317,12 @@ def _quotient(a: Algebra, rad: Sequence[Vector]):
     return Algebra(dim=m, basis_labels=labels, table=table), reps
 
 
-def _subspace_center(q: Algebra, piece: Sequence[Vector]) -> list[Vector]:
-    """Central elements of the span of piece, as vectors in q coords."""
-    cols = [stack(enumerate(q.bracket(b, p) for p in piece), q.dim)
-            for b in piece]
-    return [combine(coeffs, piece) for coeffs in nullspace(cols)]
+def _center(q: Algebra) -> list[Vector]:
+    """Basis of the center of q: the z with z e_p = e_p z for every p."""
+    cols = [stack(enumerate(q.bracket({b: ONE}, {p: ONE})
+                            for p in range(q.dim)), q.dim)
+            for b in range(q.dim)]
+    return nullspace(cols)
 
 
 def _minpoly(f: Sequence[Vector]) -> list[Fraction]:
@@ -356,9 +355,7 @@ def _rational_roots(minrel: list[Fraction]) -> list[Fraction]:
     theorem on the cleared-denominator form."""
     d = len(minrel)
     coeffs = [-c for c in minrel] + [ONE]  # ascending, degree d monic
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
     lead = ints[-1]
     v = 0
@@ -379,40 +376,32 @@ def _rational_roots(minrel: list[Fraction]) -> list[Fraction]:
 
 
 def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+    return sorted({d for i in range(1, isqrt(n) + 1) if n % i == 0
+                   for d in (i, n // i)})
 
 
-def _split_blocks(q: Algebra, rng: random.Random) -> list[list[Vector]]:
-    """Simple ideals of the semisimple algebra q, by central eigensplitting.
+def _central_idempotents(q: Algebra, rng: random.Random) -> list[Vector]:
+    """Primitive central idempotents of the semisimple algebra q.
 
-    Raises NonSplit after the retry budget, or on a non square block
-    dimension (a division algebra bigger than the rationals).
+    The center Z is split by the eigenspaces of multiplication by a
+    central z, each piece in its own coordinates, until every piece is a
+    line; a line spanned by v has v v = c v, and v / c is the idempotent.
+    The candidates for z are the piece's basis vectors, then random
+    combinations. Raises NonSplit after the retry budget.
     """
-    def split(piece: list[Vector]) -> list[list[Vector]]:
-        center = _subspace_center(q, piece)
-        if len(center) <= 1:
-            return [piece]
-        coords = coordinates(center)
-        candidates = list(center)
-        budget = 8
-        tried = 0
-        while tried < budget:
-            if candidates:
-                z = candidates.pop(0)
-            else:
-                z = combine({i: Fraction(rng.randint(-3, 3))
-                             for i in range(len(center))}, center)
-            tried += 1
-            # multiplication by z on the center
-            mul = tuple(coords(q.product(z, c)) for c in center)
+    def split(piece: list[Vector]) -> list[Vector]:
+        coords = coordinates(piece)
+        if len(piece) == 1:
+            c = coords(q.product(piece[0], piece[0]))
+            if not c:
+                raise IntegrityError("central line holds no idempotent")
+            return [combine({0: 1 / c[0]}, piece)]
+        for tried in range(8):
+            z = piece[tried] if tried < len(piece) else combine(
+                {i: Fraction(rng.randint(-3, 3)) for i in range(len(piece))},
+                piece)
+            # multiplication by z on the piece
+            mul = tuple(coords(q.product(z, p)) for p in piece)
             if None in mul:
                 raise IntegrityError("center not closed under product")
             minrel = _minpoly(mul)
@@ -421,40 +410,18 @@ def _split_blocks(q: Algebra, rng: random.Random) -> list[list[Vector]]:
             # into linear factors iff it has as many roots as its degree
             if len(roots) != len(minrel) or len(roots) < 2:
                 continue
-            pieces = []
-            total = 0
-            zp = [q.product(z, b) for b in piece]
-            for r in roots:
-                cols = [combine({0: ONE, 1: -r}, (w, b))
-                        for w, b in zip(zp, piece)]
-                sub = [combine(coeffs, piece) for coeffs in nullspace(cols)]
-                if sub:
-                    pieces.append(sub)
-                    total += len(sub)
-            if total != len(piece):
-                raise IntegrityError("central eigensplit lost dimension")
             out = []
-            for p in pieces:
-                out.extend(split(p))
+            for r in roots:
+                cols = [combine({0: ONE, 1: -r}, (w, {j: ONE}))
+                        for j, w in enumerate(mul)]
+                out.extend(split([combine(coeffs, piece)
+                                  for coeffs in nullspace(cols)]))
             return out
         raise NonSplit("semisimple quotient did not split over the "
                        "rationals within the retry budget")
 
-    if q.dim == 0:
-        return []
-    return split([{i: ONE} for i in range(q.dim)])
-
-
-def _block_unit(q: Algebra, block: list[Vector]) -> Vector:
-    """Unit of a block ideal, solved from u b = b u = b."""
-    cols = [stack(enumerate(w for b in block
-                            for w in (q.product(u, b), q.product(b, u))),
-                  q.dim) for u in block]
-    rhs = stack(enumerate(w for b in block for w in (b, b)), q.dim)
-    sol = solve(cols, rhs)
-    if sol is None:
-        raise IntegrityError("block has no unit; split produced a non-ideal")
-    return combine(sol, block)
+    center = _center(q)
+    return split(center) if center else []
 
 
 def _lift_section(a: Algebra, q: Algebra, reps: list[int],
@@ -532,20 +499,21 @@ def _lift_section(a: Algebra, q: Algebra, reps: list[int],
 def wedderburn(a: Algebra, seed: int = 0) -> WedderburnData:
     """Radical plus a lifted rational block decomposition of a.
 
-    Deterministic for a given seed; the block order is canonical (sorted
-    by leading idempotent coordinate in the quotient, then dimension),
-    so in practice the output does not depend on the seed at all.
+    The blocks of A/J are e A/J for its primitive central idempotents e.
+    The block order is canonical (sorted by leading idempotent coordinate
+    in the quotient, then dimension), and seed is only read when a basis
+    vector of the center does not split it, so in practice the output
+    does not depend on the seed.
     """
     rad = radical(a)
     jpowers = radical_powers(a, rad)
     nil_index = len(jpowers) + 1 if rad else 1
     quotient, reps = _quotient(a, rad)
-    check = radical(quotient)
-    if check:
+    if radical(quotient):
         raise IntegrityError("quotient by the radical still has radical")
-    rng = random.Random(seed)
-    blocks_q = _split_blocks(quotient, rng)
-    units_q = [_block_unit(quotient, b) for b in blocks_q]
+    units_q = _central_idempotents(quotient, random.Random(seed))
+    basis_q = [{i: ONE} for i in range(quotient.dim)]
+    blocks_q = [span_products(quotient, [e], basis_q) for e in units_q]
     # the last key compares units as coordinate tuples
     order = sorted(range(len(blocks_q)), key=lambda i: (
         min(units_q[i]),
@@ -676,7 +644,8 @@ def builtin(name: str) -> AlgebraWithDerivations:
     name = name.strip()
     if "+" in name:
         parts = [p for p in (s.strip() for s in name.split("+")) if p]
-        return direct_sum(*[builtin(p) for p in parts])
+        if parts:
+            return direct_sum(*[builtin(p) for p in parts])
     if name == "UT2eps":
         a = _ut2eps_algebra()
         half = Fraction(1, 2)

@@ -43,7 +43,8 @@ _FIELDS = ("dim", "basis", "table", "unit", "derivations", "builtin")
 
 
 class AlgebraFileError(DiffPiError):
-    """Malformed algebra or generator file; maps to the usage exit code."""
+    """Malformed or unreadable algebra or generator file, or an unwritable
+    report file; maps to the usage exit code."""
 
 
 # an error exits with the code of its nearest ancestor in this table
@@ -193,8 +194,11 @@ def load_input(source: str) -> Loaded:
     differently, raises its own InvariantViolation.
     """
     if os.path.exists(source):
-        with open(source, "rb") as fh:
-            blob = fh.read()
+        try:
+            with open(source, "rb") as fh:
+                blob = fh.read()
+        except OSError as e:
+            raise AlgebraFileError(f"{source}: {e.strerror or e}")
         digest = hashlib.sha256(blob).hexdigest()
         try:
             data = json.loads(blob.decode("utf-8"))
@@ -329,8 +333,11 @@ def _emit(report: dict, fmt: str, out_path: Optional[str]) -> None:
     else:
         text = _render_table(report)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise AlgebraFileError(f"{out_path}: {e.strerror or e}")
     else:
         sys.stdout.write(text)
 
@@ -672,6 +679,7 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     try:
         loaded, results, warnings, code = _DISPATCH[args.command](args)
+        _emit(_report(args, loaded, results, warnings), args.format, args.out)
     except DiffPiError as e:
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, NonSplit):
@@ -680,8 +688,6 @@ def main(argv=None) -> int:
                   "--seed or supply a split form of the algebra",
                   file=sys.stderr)
         return exit_code(type(e))
-    report = _report(args, loaded, results, warnings)
-    _emit(report, args.format, args.out)
     return code
 
 

@@ -167,6 +167,51 @@ def test_wedderburn_m2():
     assert wd.radical_basis == ()
 
 
+MIXED_SUMS = ("Mk(2)+Mk(3)+UTk(2)", "Mk(2)+Fn(2)", "UTk(4)+Mk(2)+UTk(2)")
+
+
+def test_wedderburn_blocks_and_units():
+    # the lifted idempotents are orthogonal, and e_i is a two-sided unit
+    # on block i, which has d_i^2 vectors, and kills every other block
+    cases = [random_split_algebra(seed).algebra for seed in range(60)]
+    cases += [builtin(name).algebra for name in MIXED_SUMS]
+    for a in cases:
+        wd = wedderburn(a)
+        idems = wd.block_idempotents
+        for i, ei in enumerate(idems):
+            for j, ej in enumerate(idems):
+                assert a.product(ei, ej) == (ei if i == j else {})
+            for j, (d, bb) in enumerate(zip(wd.block_dims, wd.block_bases)):
+                assert len(bb) == d * d
+                for b in bb:
+                    want = b if i == j else {}
+                    assert a.product(ei, b) == want
+                    assert a.product(b, ei) == want
+
+
+def test_wedderburn_mixed_sum_idempotents():
+    a = builtin("Mk(2)+Mk(3)+UTk(2)").algebra
+    wd = wedderburn(a)
+    got = [{a.basis_labels[k]: x for k, x in e.items()}
+           for e in wd.block_idempotents]
+    assert got == [{"1:e11": 1, "1:e22": 1},
+                   {"2:e11": 1, "2:e22": 1, "2:e33": 1},
+                   {"3:e11": 1}, {"3:e22": 1}]
+    assert wd.block_dims == (2, 3, 1, 1)
+
+
+def test_wedderburn_semisimple_makes_no_solve(monkeypatch):
+    # the blocks and their units come from the center alone, and a
+    # semisimple algebra needs no section correction
+    def no_solve(cols, b):
+        raise AssertionError("wedderburn solved a linear system")
+
+    monkeypatch.setattr(algebra_module, "solve", no_solve)
+    for name in ("Mk(3)", "Fn(4)", "M2sl2"):
+        wd = wedderburn(builtin(name).algebra)
+        assert wd.radical_basis == ()
+
+
 def test_wedderburn_complement_is_multiplicative(ut2eps):
     a = ut2eps.algebra
     wd = wedderburn(a)

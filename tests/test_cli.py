@@ -229,7 +229,7 @@ def test_decompose_report(capsys):
     assert d["name"] == "eps" and d["outer_zero"] is True
 
 
-def test_exit_code_usage_errors(capsys):
+def test_exit_code_usage_errors(capsys, tmp_path):
     assert main(["codim", "nosuchinput"]) == 1
     capsys.readouterr()
     assert main(["check-identity", "UT2eps", "--poly", "x1^zeta"]) == 1
@@ -242,6 +242,14 @@ def test_exit_code_usage_errors(capsys):
     capsys.readouterr()
     assert main(["codim", "UT2eps", "--max-n", "0"]) == 1
     capsys.readouterr()
+    # a directory as input, and a report path in a missing directory
+    code, out, err = run(capsys, "validate", str(tmp_path))
+    assert code == 1
+    assert f"error: {tmp_path}: Is a directory" in err
+    bad = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "validate", "UT2eps", "--out", str(bad))
+    assert code == 1
+    assert f"error: {bad}: No such file or directory" in err
 
 
 def test_builtin_errors_name_their_cause(capsys):
@@ -251,7 +259,7 @@ def test_builtin_errors_name_their_cause(capsys):
     assert code == 2
     assert "direct sum needs identical generator names" in err
     assert "no such builtin" not in err
-    for name in ("nosuch", "UT2eps+nosuch"):
+    for name in ("nosuch", "UT2eps+nosuch", "+"):
         code, out, err = run(capsys, "codim", name)
         assert code == 1
         assert f"{name}: no such file and no such builtin algebra" in err

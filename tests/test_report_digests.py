@@ -25,6 +25,10 @@ PINNED = [
     ("82758c02e47dfb6584538461251cd977f350fbe65e116dd46228d1c419c4b74f", 0),
     ("0112727cc67398add59104556d7bb100c7e6780d29b4c29e049ab09f4e8d9e57", 0),
     ("e1c723327884d64c45acaec269cfc111747d14328773954f3cca7295ada4b348", 0),
+    ("fc3b4f7be32d878ec0c5b287fe4f71e37a8983a05a6e3de499352254255236f1", 0),
+    ("3ab935d5855913a0c0fe706e7f4fed3fa5016e3cbe313d8b09aa7d1a24ec4f62", 0),
+    ("33289c45719bfc01f82b247e1c0479d226c9eaac0042c3f2ccfe797596d2ff5a", 0),
+    ("a4885a21a97873220035235c724241b6dd32dd41b4ea5b218b0cb5283d93b824", 0),
 ]
 
 
