@@ -16,13 +16,12 @@ images, f[j] = f(e_j), and every linear system is given by its sparse
 columns. Dense coordinates appear only where data enters or leaves: the
 declared unit and the rows of a derivation matrix.
 
-All searches are deterministic given the seed; the returned data never
-depends on dict iteration order.
+Every result is deterministic: it depends on the input alone, never on
+dict iteration order.
 """
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -380,14 +379,18 @@ def _divisors(n: int) -> list[int]:
                    for d in (i, n // i)})
 
 
-def _central_idempotents(q: Algebra, rng: random.Random) -> list[Vector]:
+def _central_idempotents(q: Algebra) -> list[Vector]:
     """Primitive central idempotents of the semisimple algebra q.
 
     The center Z is split by the eigenspaces of multiplication by a
     central z, each piece in its own coordinates, until every piece is a
     line; a line spanned by v has v v = c v, and v / c is the idempotent.
-    The candidates for z are the piece's basis vectors, then random
-    combinations. Raises NonSplit after the retry budget.
+    The candidates for z are the piece's basis vectors. A piece is a
+    product of fields K_1 x ... x K_s. If every K_i is Q, at most one
+    basis vector is a multiple of the piece's unit and any other one has
+    at least two eigenvalues, all rational, so it splits the piece. If
+    some K_i is not Q, no central element cuts K_i down to a line, and
+    NonSplit is the only outcome.
     """
     def split(piece: list[Vector]) -> list[Vector]:
         coords = coordinates(piece)
@@ -396,10 +399,7 @@ def _central_idempotents(q: Algebra, rng: random.Random) -> list[Vector]:
             if not c:
                 raise IntegrityError("central line holds no idempotent")
             return [combine({0: 1 / c[0]}, piece)]
-        for tried in range(8):
-            z = piece[tried] if tried < len(piece) else combine(
-                {i: Fraction(rng.randint(-3, 3)) for i in range(len(piece))},
-                piece)
+        for z in piece:
             # multiplication by z on the piece
             mul = tuple(coords(q.product(z, p)) for p in piece)
             if None in mul:
@@ -417,8 +417,9 @@ def _central_idempotents(q: Algebra, rng: random.Random) -> list[Vector]:
                 out.extend(split([combine(coeffs, piece)
                                   for coeffs in nullspace(cols)]))
             return out
-        raise NonSplit("semisimple quotient did not split over the "
-                       "rationals within the retry budget")
+        raise NonSplit("semisimple quotient does not split over the "
+                       "rationals: its center has a field factor other "
+                       "than Q")
 
     center = _center(q)
     return split(center) if center else []
@@ -496,14 +497,13 @@ def _lift_section(a: Algebra, q: Algebra, reps: list[int],
     return sec
 
 
-def wedderburn(a: Algebra, seed: int = 0) -> WedderburnData:
+def wedderburn(a: Algebra) -> WedderburnData:
     """Radical plus a lifted rational block decomposition of a.
 
     The blocks of A/J are e A/J for its primitive central idempotents e.
     The block order is canonical (sorted by leading idempotent coordinate
-    in the quotient, then dimension), and seed is only read when a basis
-    vector of the center does not split it, so in practice the output
-    does not depend on the seed.
+    in the quotient, then dimension). Raises NonSplit when A/J is not a
+    sum of matrix algebras over the rationals.
     """
     rad = radical(a)
     jpowers = radical_powers(a, rad)
@@ -511,7 +511,7 @@ def wedderburn(a: Algebra, seed: int = 0) -> WedderburnData:
     quotient, reps = _quotient(a, rad)
     if radical(quotient):
         raise IntegrityError("quotient by the radical still has radical")
-    units_q = _central_idempotents(quotient, random.Random(seed))
+    units_q = _central_idempotents(quotient)
     basis_q = [{i: ONE} for i in range(quotient.dim)]
     blocks_q = [span_products(quotient, [e], basis_q) for e in units_q]
     # the last key compares units as coordinate tuples

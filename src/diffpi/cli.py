@@ -2,8 +2,8 @@
 
 One computation per invocation: load an algebra from a JSON file or a
 builtin name, run the requested command, render a deterministic report
-as a table, CSV, or JSON. Identical input, seed, and tool version give
-byte-identical JSON output; key order is fixed at assembly time.
+as a table, CSV, or JSON. Identical input, options and tool version
+give byte-identical JSON output; key order is fixed at assembly time.
 """
 
 from __future__ import annotations
@@ -148,8 +148,12 @@ def parse_algebra_file(data) -> tuple[Algebra, tuple]:
         if not isinstance(uraw, list) or len(uraw) != dim:
             raise AlgebraFileError(f"unit: expected a list of {dim} coordinates")
         unit = tuple(_rat(x, f"unit[{i}]") for i, x in enumerate(uraw))
+    raw_ders = data.get("derivations")
+    if raw_ders is not None and not isinstance(raw_ders, list):
+        raise AlgebraFileError("derivations: expected a list of "
+                               "{name, matrix} objects")
     ders = []
-    for d, entry in enumerate(data.get("derivations") or []):
+    for d, entry in enumerate(raw_ders or []):
         where = f"derivations[{d}]"
         if (not isinstance(entry, dict)
                 or set(entry) != {"name", "matrix"}
@@ -248,7 +252,6 @@ def _report(args, loaded: Optional[Loaded], results: dict,
         "command": args.command,
         "options": options,
         "input": inp,
-        "seed": args.seed,
         "results": _jsonable(results),
         "warnings": list(warnings),
     }
@@ -281,7 +284,6 @@ def _render_table(report: dict) -> str:
     if report["input"]:
         lines.append(f"input: {report['input']['source']}  "
                      f"sha256: {report['input']['sha256'][:16]}")
-    lines.append(f"seed: {report['seed']}")
     lines.append("")
     results = dict(report["results"])
     rows = results.pop("rows", None)
@@ -467,7 +469,7 @@ def _witness_payload(a: Algebra, witness) -> Optional[dict]:
 def cmd_exponent(args):
     loaded = load_input(args.input)
     awd = loaded.checked()
-    wd = wedderburn(awd.algebra, seed=args.seed)
+    wd = wedderburn(awd.algebra)
     d = exponent(awd.algebra, wd)
     witness = detect_ut2_pattern(awd.algebra, wd)
     results = {
@@ -483,8 +485,7 @@ def cmd_exponent(args):
 def cmd_classify(args):
     loaded = load_input(args.input)
     awd = loaded.checked()
-    rep = classify(awd, max_n=args.cocharacter_depth, seed=args.seed,
-                   budget=args.budget)
+    rep = classify(awd, max_n=args.cocharacter_depth, budget=args.budget)
     warnings = []
     if not rep.hypothesis_flags["action_semisimple"]:
         warnings.append("action Lie algebra is not semisimple; the "
@@ -522,6 +523,8 @@ def _read_generators(path: str, ob) -> list:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
+    except UnicodeDecodeError:
+        raise AlgebraFileError(f"{path}: not UTF-8 text")
     except OSError as e:
         raise AlgebraFileError(f"{path}: {e.strerror or e}")
     gens = []
@@ -574,7 +577,7 @@ def cmd_decompose(args):
     loaded = load_input(args.input)
     awd = loaded.checked()
     a = awd.algebra
-    wd = wedderburn(a, seed=args.seed)
+    wd = wedderburn(a)
     ders = []
     for d in awd.action.generators:
         x, dprime = split_derivation(a, wd, d)
@@ -613,8 +616,6 @@ _DISPATCH = {
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized splitting (default 0)")
     common.add_argument("--budget", type=int, default=None,
                         help="evaluation cost budget (default conservative)")
     common.add_argument("--format", choices=("table", "csv", "json"),
@@ -683,9 +684,8 @@ def main(argv=None) -> int:
     except DiffPiError as e:
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, NonSplit):
-            print("hint: the semisimple part does not split over the "
-                  "rationals with this search seed; retry with another "
-                  "--seed or supply a split form of the algebra",
+            print("hint: the semisimple part has no rational Wedderburn "
+                  "splitting; supply a split form of the algebra",
                   file=sys.stderr)
         return exit_code(type(e))
     return code

@@ -37,7 +37,7 @@ from .algebra import Algebra
 from .errors import BudgetExceeded
 from .freediff import (DiffMonomial, DiffPoly, OperatorBasis, adjacent_swaps,
                        consequences, validate_multilinear)
-from .linalg import ONE, ZERO, RowSpan, as_scalar, combine, sparse, stack
+from .linalg import ONE, RowSpan, as_scalar, combine, sparse, stack
 
 DEFAULT_BUDGET = 100_776_960  # 6! * 2**6 * 3**7, the reference workload
 
@@ -115,15 +115,7 @@ def monomial_row(a: Algebra, ob: OperatorBasis, m: DiffMonomial) -> dict:
 
 
 def poly_row(a: Algebra, ob: OperatorBasis, p: DiffPoly) -> dict:
-    row: dict = {}
-    for m, coeff in p.terms.items():
-        for col, v in monomial_row(a, ob, m).items():
-            nv = row.get(col, ZERO) + coeff * v
-            if nv:
-                row[col] = nv
-            elif col in row:
-                del row[col]
-    return row
+    return combine(p.terms, {m: monomial_row(a, ob, m) for m in p.terms})
 
 
 @dataclass(frozen=True)

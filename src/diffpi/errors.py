@@ -23,8 +23,7 @@ class UnknownBuiltin(InvariantViolation):
 
 
 class NonSplit(DiffPiError):
-    """The semisimple quotient does not split over the rationals, or the
-    splitting search exhausted its retry budget."""
+    """The semisimple quotient does not split over the rationals."""
 
 
 class BudgetExceeded(DiffPiError):

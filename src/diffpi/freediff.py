@@ -22,7 +22,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import (DiffSyntaxError, IntegrityError, NotMultilinear,
                      UnknownOperator)
-from .linalg import ONE, ZERO, RowSpan, compose, coordinates, stack
+from .linalg import (ONE, ZERO, RowSpan, combine, compose, coordinates,
+                     stack)
 
 
 class OperatorBasis(NamedTuple):
@@ -119,9 +120,6 @@ class DiffPoly:
     def variable(cls, var: int, n: int, label: int = 0) -> "DiffPoly":
         return cls(n, {DiffMonomial((var,), (label,)): ONE})
 
-    def copy(self) -> "DiffPoly":
-        return DiffPoly(self.n, dict(self.terms))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -133,22 +131,14 @@ class DiffPoly:
         return hash((self.n, frozenset(self.terms.items())))
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, ZERO) + c
-            if nc:
-                out[m] = nc
-            elif m in out:
-                del out[m]
-        return DiffPoly(max(self.n, other.n), out)
+        return DiffPoly(max(self.n, other.n),
+                        combine({0: ONE, 1: ONE}, (self.terms, other.terms)))
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
         return self + other.scale(-ONE)
 
     def scale(self, c: Fraction) -> "DiffPoly":
-        if not c:
-            return DiffPoly(self.n)
-        return DiffPoly(self.n, {m: c * v for m, v in self.terms.items()})
+        return DiffPoly(self.n, combine({0: c}, (self.terms,)))
 
     def __mul__(self, other: "DiffPoly") -> "DiffPoly":
         """Concatenation product. Variable disjointness is checked later
@@ -313,7 +303,10 @@ class _Parser:
         tok, kind, pos = self.peek()
         if kind == "num":
             self.take()
-            coeff = Fraction(tok)
+            try:
+                coeff = Fraction(tok)
+            except ZeroDivisionError:
+                raise DiffSyntaxError("zero denominator", pos, self.src)
         p = self.factor()
         while True:
             tok, kind, pos = self.peek()

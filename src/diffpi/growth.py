@@ -122,12 +122,12 @@ def _fit_evidence(values: list, structural_poly: bool) -> dict:
     }
 
 
-def classify(awd: AlgebraWithDerivations, max_n: int = 3, seed: int = 0,
+def classify(awd: AlgebraWithDerivations, max_n: int = 3,
              budget: Optional[int] = None) -> GrowthReport:
     """Full growth report: exponent, obstructions, support bound,
     finite-data codimension evidence."""
     a, act = awd.algebra, awd.action
-    wd = wedderburn(a, seed=seed)
+    wd = wedderburn(a)
     d = exponent(a, wd)
     poly = d <= 1
     witness = detect_ut2_pattern(a, wd)
@@ -135,11 +135,9 @@ def classify(awd: AlgebraWithDerivations, max_n: int = 3, seed: int = 0,
     cross = sorted(wd.radical_path_graph)
     ob = operator_basis(a, act)
     hypothesis_flags = {
-        "action_lie_closed": True,
         "action_semisimple": act.killing_nondegenerate,
         "radical_action_stable": check_l_stability(
             a, act, list(wd.radical_basis)),
-        "wedderburn_split": True,
     }
     c_vals, c_ord_vals = [], []
     support_by_n = {}

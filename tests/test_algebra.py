@@ -225,11 +225,17 @@ def test_wedderburn_complement_is_multiplicative(ut2eps):
             assert not row or span.contains(row)
 
 
-def test_wedderburn_seed_determinism():
-    a = builtin("UTk(3)").algebra
-    w1 = wedderburn(a, seed=0)
-    w2 = wedderburn(a, seed=0)
-    assert w1 == w2
+def test_wedderburn_splits_past_the_unit():
+    # Q x Q on u0 = 1, u1 = f1: the first central basis vector is the
+    # unit, which splits nothing, so the second one must split the center
+    one = F(1)
+    tbl = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one},
+           (1, 1): {1: one}}
+    a = Algebra(dim=2, basis_labels=("u0", "u1"), table=tbl, unit=vec(1, 0))
+    assert algebra_module._center(a)[0] == {0: one}
+    wd = wedderburn(a)
+    assert wd.block_dims == (1, 1)
+    assert wd.block_idempotents == ({0: one, 1: F(-1)}, {1: one})
 
 
 def test_split_derivation_recovers_eps(ut2eps):

@@ -236,6 +236,12 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     capsys.readouterr()
     assert main(["check-identity", "UT2eps", "--poly", "x1*x1"]) == 1
     capsys.readouterr()
+    code, out, err = run(capsys, "check-identity", "UT2eps",
+                         "--poly", "1/0 x1")
+    assert code == 1
+    assert "error: zero denominator at position 0" in err
+    assert main(["exponent", "UT2eps", "--seed", "1"]) == 1
+    capsys.readouterr()
     assert main([]) == 1
     capsys.readouterr()
     assert main(["--version"]) == 0
@@ -250,6 +256,13 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     code, out, err = run(capsys, "validate", "UT2eps", "--out", str(bad))
     assert code == 1
     assert f"error: {bad}: No such file or directory" in err
+    # a generators file that is not UTF-8 text
+    g = tmp_path / "gens.txt"
+    g.write_bytes(b"x1^eps*x2^eps \xff\n")
+    code, out, err = run(capsys, "consequences", "UT2eps", "--gens", str(g),
+                         "--n", "2")
+    assert code == 1
+    assert f"error: {g}: not UTF-8 text" in err
 
 
 def test_builtin_errors_name_their_cause(capsys):
@@ -293,6 +306,11 @@ def test_algebra_file_schema_errors(capsys, tmp_path):
         ("emptyname", json.dumps({"dim": 1, "basis": ["x"], "table": [],
                                   "derivations": [{"name": "",
                                                    "matrix": [[0]]}]})),
+        ("dernumber", json.dumps({"dim": 1, "basis": ["x"], "table": [],
+                                  "derivations": 5})),
+        ("derdict", json.dumps({"dim": 1, "basis": ["x"], "table": [],
+                                "derivations": {"d": {"name": "d",
+                                                      "matrix": [[0]]}}})),
     ]
     for name, text in cases:
         f = tmp_path / f"{name}.json"
@@ -300,6 +318,15 @@ def test_algebra_file_schema_errors(capsys, tmp_path):
         code, out, err = run(capsys, "validate", str(f))
         assert code == 1, name
         assert err.startswith("error:"), name
+        if name.startswith("der"):
+            assert "derivations: expected a list" in err, name
+
+
+def test_report_top_level_keys(capsys):
+    code, rep, err = run_json(capsys, "exponent", "UT2eps")
+    assert code == 0
+    assert list(rep) == ["tool", "version", "command", "options", "input",
+                         "results", "warnings"]
 
 
 def test_builtin_inside_file(capsys, tmp_path):

@@ -148,6 +148,9 @@ def test_parse_errors_position(ut2eps_ob):
         parse_diff_poly("[x1,x2,x3]", ut2eps_ob)
     with pytest.raises(DiffSyntaxError):
         parse_diff_poly("x1 @ x2", ut2eps_ob)
+    with pytest.raises(DiffSyntaxError) as e:
+        parse_diff_poly("x1 + 1/0 x2", ut2eps_ob)
+    assert e.value.pos == 5
 
 
 def test_parse_unknown_operator(ut2eps_ob):

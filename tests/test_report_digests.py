@@ -10,25 +10,25 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "report_digests.py"
 
 PINNED = [
-    ("4386a2125a75f13ef44a45db841ea7c361d0d430c68d2803d0461faa65efd497", 0),
-    ("ef9a29e32a6d7ac0546de2ab7a05af393c226cb168b2d094914a67a9b5df9b69", 0),
-    ("3f96b196df88c34f22ef340bf4bd500475008afb302b461b5675debd347e92fc", 0),
-    ("a81dfbde39bb4b32ffaa3965be2dab4dbf57945cf6e866cd96b122644744b5bd", 0),
-    ("2b8da1b4983205a8b7d1668311c80711579e9de63878741d218c6f1fa060616a", 0),
-    ("3fe35fdd5e791671179ed27dbb48318d1757b41482b70452e338e1eb4a96406c", 0),
-    ("c328cc98a61b13ab02bceb079aeacd822d1e25ea816a4de4492b9c962dda55ce", 0),
-    ("cf166f72491b2574ecea7979e70e2504213b54e8c7e5c610adc5e8a850bf6c14", 0),
-    ("6d67070313751cad4b1a7ffb608d1cba1a5167cfc45d5a9f8ded0c08b67d0137", 0),
-    ("6a2b0c172be1d4eeb33cb1f8bd7bd3951689cd686044e98862ffd12d5028701a", 0),
-    ("4b8e8975b916cf353012263232ad1245988cb6cf1e1c8e9fbb5fae41dd95f229", 0),
-    ("34cff6c43f3ee1bcd96e46b37c1ec9c31a0ec9aa9c7ec87472696459fd76a6e4", 0),
-    ("82758c02e47dfb6584538461251cd977f350fbe65e116dd46228d1c419c4b74f", 0),
-    ("0112727cc67398add59104556d7bb100c7e6780d29b4c29e049ab09f4e8d9e57", 0),
-    ("e1c723327884d64c45acaec269cfc111747d14328773954f3cca7295ada4b348", 0),
-    ("fc3b4f7be32d878ec0c5b287fe4f71e37a8983a05a6e3de499352254255236f1", 0),
-    ("3ab935d5855913a0c0fe706e7f4fed3fa5016e3cbe313d8b09aa7d1a24ec4f62", 0),
-    ("33289c45719bfc01f82b247e1c0479d226c9eaac0042c3f2ccfe797596d2ff5a", 0),
-    ("a4885a21a97873220035235c724241b6dd32dd41b4ea5b218b0cb5283d93b824", 0),
+    ("504b317e938f6be50df8d01716e6a5dcf1572d295a853bba98d0cf9bc3941f20", 0),
+    ("8592c12e5c2889ad234f87914f487373f056f55ff1ec9690679066fd4e04be77", 0),
+    ("7c34f904f758b7975bc2241d9761661af1ecc914a35d3e5804f8c6ca7203649e", 0),
+    ("0927721533ed602b4fb375c4c6f6471b7361ba2f10ad2840c42ebbc5fb09420a", 0),
+    ("eae20b4117fa99cbfbfa7bc4ac013dc1556a354eee324599b0f31b37d1f38218", 0),
+    ("8e6163580dd1125eb5d9c6f2f1ee9a96af93b67bd8f42ef9a0f17a1720cc9971", 0),
+    ("317b35dc54f46842bf1c16c1e4981c6fa8cfd2ead12cb680c9a9c872aab0f333", 0),
+    ("f1d4731a3900dada5b8142aba0de6395c9edadf2044209b4390b25e4d32199ad", 0),
+    ("ef544e2af3fa162f9a538a306f092a1888f347432c8e8a6caa4739880f8b90a5", 0),
+    ("ecc4108e238530c07a092b587020945d9949a333ecfdfc913a9fc23cd3e73e1f", 0),
+    ("17181ac10dac93e5009be36e1b203bd3f175e73409e37f2cb3cdaf3678936227", 0),
+    ("5952b193c038b4eba0376f640f7ea7e0d3d45a3d6897e73c540fd994e15abbd4", 0),
+    ("36dde66a9ba37cadffa6c6cb4a4c40cf1b244e93b4452670c0c82c7b615ba236", 0),
+    ("7b24a3708395b85f618584fac031c8e1740dabf2a6643d5e7d99ccf5fa335970", 0),
+    ("8dacc92b97027e617e76810786b29846588ba0d33ebcc84492dbe863a3fbbdf1", 0),
+    ("7280945178b0920c46cfd4e3bda793dff8953f21033e4ec2c82195d79d6c1e32", 0),
+    ("e64a8c38a38eec2207f806b47accbad991bdb6e91e6c1142a907e9ebfcf5aeee", 0),
+    ("30529574a131e87b0b88de0fb55bd86e3b445cc57de77debd118ca4921168388", 0),
+    ("0af2c4137226e2d3cdc68df252878e954c0ae05b774d468dfb3dde41f0cc05d1", 0),
 ]
 
 
