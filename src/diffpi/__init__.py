@@ -10,7 +10,7 @@ from .algebra import (Algebra, AlgebraWithDerivations, Derivation,
                       split_derivation, wedderburn)
 from .characters import (CocharacterTable, cocharacter, cycle_type_class_size,
                          hook_dimension, irr_char, module_trace, partitions,
-                         support_check, support_violations)
+                         support_violations)
 from .codim import (DEFAULT_BUDGET, CodimResult, codim, codim_via_ideal,
                     consequences_cost, evaluate, evaluation_cost, is_identity)
 from .errors import (BudgetExceeded, DiffPiError, DiffSyntaxError,

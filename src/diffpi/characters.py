@@ -229,8 +229,3 @@ def support_violations(table: CocharacterTable, q: int) -> list:
         if mL and sum(lam) - lam[0] >= q:
             bad.append((lam, mL))
     return bad
-
-
-def support_check(table: CocharacterTable, q: int) -> bool:
-    """True iff every nonzero multiplicity sits above the radical bound."""
-    return not support_violations(table, q)

@@ -493,6 +493,11 @@ def cmd_classify(args):
                         "hypothesis flagged")
     if not rep.hypothesis_flags["radical_action_stable"]:
         warnings.append("radical is not stable under the action")
+    done = len(rep.condition_results["codim_values"])
+    if done < args.cocharacter_depth:
+        warnings.append(f"budget exceeded at n = {done + 1}: codimension "
+                        f"values and support bound cover n < {done + 1} "
+                        f"only")
     results = {
         "exponent": rep.exponent,
         "polynomial_growth": rep.polynomial_growth,
@@ -639,10 +644,11 @@ def _build_parser() -> argparse.ArgumentParser:
     c = cmd("codim", "differential and ordinary codimension table")
     c.add_argument("--max-n", type=int, default=3, dest="max_n",
                    help="largest degree to compute (default 3)")
-    c.add_argument("--ordinary", action="store_true",
-                   help="ordinary codimensions only")
-    c.add_argument("--formula", action="store_true",
-                   help="compare against the claimed UT2 closed form")
+    only = c.add_mutually_exclusive_group()
+    only.add_argument("--ordinary", action="store_true",
+                      help="ordinary codimensions only")
+    only.add_argument("--formula", action="store_true",
+                      help="compare against the claimed UT2 closed form")
     c = cmd("cocharacter", "cocharacter multiplicities at one degree")
     c.add_argument("--n", type=int, required=True, help="degree")
     cmd("exponent", "growth exponent from the block structure")
@@ -650,7 +656,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--cocharacter-depth", type=int, default=3,
                    dest="cocharacter_depth",
                    help="largest degree for support and codimension "
-                        "evidence (default 3)")
+                        "values (default 3)")
     c = cmd("check-identity", "test polynomials against the algebra")
     c.add_argument("--poly", action="append", required=True, metavar="EXPR",
                    help="polynomial to test (repeatable)")

@@ -329,20 +329,21 @@ class _Parser:
         tok, kind, pos = self.take()
         if kind != "name":
             raise DiffSyntaxError("expected operator word", pos, self.src)
-        word = []
-        rest = tok
-        while rest:
-            for g, nm in sorted(enumerate(self.ob.gen_names),
-                                key=lambda t: -len(t[1])):
-                if rest.startswith(nm):
-                    word.append(g)
-                    rest = rest[len(nm):]
-                    break
-            else:
-                raise UnknownOperator(
-                    f"cannot split {tok!r} into declared operator names "
-                    f"{list(self.ob.gen_names)} (stuck at {rest!r})")
-        return tuple(word)
+        names = self.ob.gen_names
+        # ways[i]: at most two splits of tok[i:] into declared names
+        ways = [[] for _ in tok] + [[()]]
+        for i in reversed(range(len(tok))):
+            ways[i] = [(g,) + rest for g, nm in enumerate(names)
+                       if tok.startswith(nm, i)
+                       for rest in ways[i + len(nm)]][:2]
+        if not ways[0]:
+            raise UnknownOperator(f"cannot split {tok!r} into declared "
+                                  f"operator names {list(names)}")
+        if len(ways[0]) > 1:
+            a, b = ([names[g] for g in w] for w in ways[0])
+            raise UnknownOperator(f"{tok!r} splits into declared operator "
+                                  f"names in two ways: {a} and {b}")
+        return ways[0][0]
 
     def atom(self) -> DiffPoly:
         tok, kind, pos = self.take()

@@ -4,15 +4,14 @@ The exponent comes from the block decomposition alone: the largest total
 dimension of a set of distinct simple blocks that can be chained through
 the radical with nonzero products. Polynomial growth is exponent at most
 one. The module also runs the structural obstruction tests (a linked
-pair of blocks, a block bigger than 1 by 1), the cocharacter support
-bound, and a finite-data fit of the computed codimensions; agreement of
-all routes is what the test suite pins down.
+pair of blocks, a block bigger than 1 by 1) and the cocharacter support
+bound, and reports the exact codimensions it computed on the way;
+agreement of all routes is what the test suite pins down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
 from typing import Optional, Sequence
 
 from .algebra import (Algebra, AlgebraWithDerivations, Derivation,
@@ -91,41 +90,11 @@ class GrowthReport:
     radical_dim: int
 
 
-def _fit_evidence(values: list, structural_poly: bool) -> dict:
-    """Least squares slope of log2 c_n against n, labeled as evidence.
-
-    Finite data cannot decide growth; the verdict only says whether the
-    computed prefix is consistent with the structural classification.
-    """
-    pts = [(n, log2(c)) for n, c in enumerate(values, start=1) if c > 0]
-    if len(pts) >= 2:
-        xm = sum(p[0] for p in pts) / len(pts)
-        ym = sum(p[1] for p in pts) / len(pts)
-        den = sum((p[0] - xm) ** 2 for p in pts)
-        slope = sum((p[0] - xm) * (p[1] - ym) for p in pts) / den
-    else:
-        slope = 0.0
-    est = 2.0 ** slope
-    looks_poly = est < 1.5
-    if not values:
-        verdict = "no data"
-    elif looks_poly == structural_poly:
-        verdict = "consistent at computed n"
-    else:
-        verdict = "inconclusive at computed n"
-    return {
-        "values": list(values),
-        "log2_slope": round(slope, 4),
-        "estimated_exponent": round(est, 3),
-        "verdict": verdict,
-        "note": "finite-data evidence, never a proof",
-    }
-
-
 def classify(awd: AlgebraWithDerivations, max_n: int = 3,
              budget: Optional[int] = None) -> GrowthReport:
-    """Full growth report: exponent, obstructions, support bound,
-    finite-data codimension evidence."""
+    """Full growth report: exponent, obstructions, support bound, and
+    the exact codimensions c_n^L and c_n for n up to max_n, fewer when
+    the budget stops the cocharacters earlier."""
     a, act = awd.algebra, awd.action
     wd = wedderburn(a)
     d = exponent(a, wd)
@@ -141,7 +110,6 @@ def classify(awd: AlgebraWithDerivations, max_n: int = 3,
     }
     c_vals, c_ord_vals = [], []
     support_by_n = {}
-    support_ok = None
     for n in range(1, max_n + 1):
         try:
             table = cocharacter(a, ob, n, budget=budget)
@@ -150,22 +118,21 @@ def classify(awd: AlgebraWithDerivations, max_n: int = 3,
         c_vals.append(table.c_n_L)
         c_ord_vals.append(table.c_n)
         violations = support_violations(table, wd.nilpotency_index)
-        ok = not violations
         support_by_n[n] = {
-            "holds": ok,
+            "holds": not violations,
             "violations": [{"partition": list(lam), "multiplicity": m}
                            for lam, m in violations],
         }
-        support_ok = ok if support_ok is None else (support_ok and ok)
+    holds = [v["holds"] for v in support_by_n.values()]
     condition_results = {
         "exponent_at_most_one": d <= 1,
         "ordinary_exponent_at_most_one": d <= 1,
         "no_linked_pair_and_no_big_block": witness is None and not big,
         "block_sum_structure": (not big) and (not cross),
-        "cocharacter_support": support_ok,
+        "cocharacter_support": all(holds) if holds else None,
         "cocharacter_support_by_n": support_by_n,
-        "codim_evidence": _fit_evidence(c_vals, poly),
-        "ordinary_codim_evidence": _fit_evidence(c_ord_vals, poly),
+        "codim_values": c_vals,
+        "ordinary_codim_values": c_ord_vals,
     }
     return GrowthReport(
         exponent=d,

@@ -5,7 +5,7 @@ import pytest
 
 from diffpi import (DiffMonomial, builtin, cocharacter, codim,
                     cycle_type_class_size, hook_dimension, irr_char,
-                    module_trace, operator_basis, partitions, support_check,
+                    module_trace, operator_basis, partitions,
                     support_violations)
 from diffpi.characters import multiplicity_rows, representative
 from diffpi.codim import permuted_row
@@ -216,7 +216,6 @@ def test_support_commutative_semisimple():
     ob = operator_basis(awd.algebra, awd.action)
     for n in (2, 3):
         t = cocharacter(awd.algebra, ob, n)
-        assert support_check(t, 1)
         assert support_violations(t, 1) == []
 
 
@@ -225,7 +224,6 @@ def test_support_violations_report(ut2eps, ut2eps_ob):
     # multiplicity once n exceeds the nilpotency bound
     t = cocharacter(ut2eps.algebra, ut2eps_ob, 3)
     viol = support_violations(t, 2)
-    assert support_check(t, 2) == (viol == [])
     for lam, m in viol:
         assert 3 - lam[0] >= 2 and m > 0
 

@@ -136,9 +136,62 @@ def test_classify_report(capsys):
     res = rep["results"]
     assert res["exponent"] == 2
     assert res["polynomial_growth"] is False
-    assert res["conditions"]["codim_evidence"]["values"] == [2, 5]
+    assert res["conditions"]["codim_values"] == [2, 5]
     assert res["hypothesis_flags"]["action_semisimple"] is False
     assert any("not semisimple" in w for w in rep["warnings"])
+
+
+def _refuse_float(text):
+    raise AssertionError(f"float {text} in a report")
+
+
+def test_classify_reports_hold_no_floats(capsys):
+    for argv in (("classify", "UT2eps"), ("classify", "Mk(2)+UTk(2)"),
+                 ("classify", "UT2eps", "--budget", "0")):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        json.loads(out, parse_float=_refuse_float)
+
+
+def test_classify_budget_warns_where_it_stops(capsys):
+    # UT2eps has k = 2, dim = 3: degree 2 costs 216, degree 3 costs 3888
+    code, rep, err = run_json(capsys, "classify", "UT2eps", "--budget", "0")
+    assert code == 0
+    cond = rep["results"]["conditions"]
+    assert cond["cocharacter_support"] is None
+    assert cond["cocharacter_support_by_n"] == {}
+    assert cond["codim_values"] == []
+    assert any(w.startswith("budget exceeded at n = 1:")
+               for w in rep["warnings"])
+    code, rep, err = run_json(capsys, "classify", "UT2eps",
+                              "--budget", "3887")
+    assert code == 0
+    assert rep["results"]["conditions"]["codim_values"] == [2, 5]
+    assert any(w.startswith("budget exceeded at n = 3:")
+               for w in rep["warnings"])
+    code, rep, err = run_json(capsys, "classify", "UT2eps",
+                              "--budget", "3888")
+    assert code == 0
+    assert rep["results"]["conditions"]["codim_values"] == [2, 5, 13]
+    assert not any("budget" in w for w in rep["warnings"])
+
+
+def test_check_identity_operator_word_split(capsys, tmp_path):
+    # derivations named a, ab, bc, b: 'abc' splits only as a·bc, and 'ab'
+    # splits both as a·b and as ab
+    eps = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
+    f = tmp_path / "names.json"
+    f.write_text(json.dumps({
+        "dim": 3, "basis": ["e11", "e22", "e12"],
+        "table": [[0, 0, [[0, 1]]], [0, 2, [[2, 1]]], [2, 1, [[2, 1]]],
+                  [1, 1, [[1, 1]]]],
+        "derivations": [{"name": nm, "matrix": eps}
+                        for nm in ("a", "ab", "bc", "b")]}))
+    code, out, err = run(capsys, "check-identity", str(f), "--poly", "x1^abc")
+    assert code == 0
+    code, out, err = run(capsys, "check-identity", str(f), "--poly", "x1^ab")
+    assert code == 1
+    assert "in two ways: ['a', 'b'] and ['ab']" in err
 
 
 def test_check_identity_verdicts(capsys):
@@ -247,6 +300,8 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     assert main(["--version"]) == 0
     capsys.readouterr()
     assert main(["codim", "UT2eps", "--max-n", "0"]) == 1
+    capsys.readouterr()
+    assert main(["codim", "UT2eps", "--ordinary", "--formula"]) == 1
     capsys.readouterr()
     # a directory as input, and a report path in a missing directory
     code, out, err = run(capsys, "validate", str(tmp_path))

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import PARSER_CORPUS, random_split_algebra
-from diffpi import (DiffPoly, DiffSyntaxError, NotMultilinear,
+from diffpi import (Derivation, DiffPoly, DiffSyntaxError, NotMultilinear,
                     UnknownOperator, builtin, codim, codim_via_ideal,
                     consequences, derive_poly, format_diff_poly,
-                    operator_basis, parse_diff_poly, sn_act,
+                    make_action, operator_basis, parse_diff_poly, sn_act,
                     validate_multilinear)
 from diffpi import freediff
 from diffpi.cli import main
@@ -158,6 +158,23 @@ def test_parse_unknown_operator(ut2eps_ob):
         parse_diff_poly("x1^zeta", ut2eps_ob)
     with pytest.raises(UnknownOperator):
         parse_diff_poly("x1^epszeta", ut2eps_ob)
+
+
+def test_parse_operator_word_splits():
+    # derivations named a, ab, bc, b on M2: a longest-name-first reading
+    # takes 'ab' out of 'abc' and is stuck at 'c'
+    awd = builtin("M2sl2")
+    gens = awd.action.generators
+    ders = [Derivation(name=nm, matrix=gens[i % 3].matrix)
+            for i, nm in enumerate(("a", "ab", "bc", "b"))]
+    ob = operator_basis(awd.algebra, make_action(awd.algebra, ders))
+    p = parse_diff_poly("x1^abc", ob)
+    q = apply_word((0, 2), parse_diff_poly("x1", ob), ob)
+    assert p.terms and p.terms == q.terms
+    with pytest.raises(UnknownOperator, match="'a', 'b'.*'ab'"):
+        parse_diff_poly("x1^ab", ob)
+    with pytest.raises(UnknownOperator, match="cannot split"):
+        parse_diff_poly("x1^abcc", ob)
 
 
 def test_parse_not_multilinear(ut2eps_ob):

@@ -62,7 +62,8 @@ def test_classify_ut2eps(ut2eps):
     assert conds["ordinary_exponent_at_most_one"] is False
     assert conds["no_linked_pair_and_no_big_block"] is False
     assert conds["block_sum_structure"] is False
-    assert conds["codim_evidence"]["values"] == [2, 5]
+    assert conds["codim_values"] == [2, 5]
+    assert conds["ordinary_codim_values"] == [1, 2]
     assert rep.hypothesis_flags["action_semisimple"] is False
     assert rep.hypothesis_flags["radical_action_stable"] is True
 
@@ -88,8 +89,11 @@ def test_classify_polynomial_input():
     assert conds["cocharacter_support"] is True
     assert all(v["holds"] for v in
                conds["cocharacter_support_by_n"].values())
-    assert conds["codim_evidence"]["note"] == \
-        "finite-data evidence, never a proof"
+    # A = F + Ft, t^2 = 0, eps(t) = t: commutative and unital, so c_n = 1;
+    # a monomial with two eps-words vanishes, one eps-word on x_i is
+    # detected by x_i = t, others 1, so c_n^L = n + 1
+    assert conds["codim_values"] == [2, 3, 4]
+    assert conds["ordinary_codim_values"] == [1, 1, 1]
 
 
 def test_classify_report_invariants():

@@ -16,7 +16,7 @@ PINNED = [
     ("0927721533ed602b4fb375c4c6f6471b7361ba2f10ad2840c42ebbc5fb09420a", 0),
     ("eae20b4117fa99cbfbfa7bc4ac013dc1556a354eee324599b0f31b37d1f38218", 0),
     ("8e6163580dd1125eb5d9c6f2f1ee9a96af93b67bd8f42ef9a0f17a1720cc9971", 0),
-    ("317b35dc54f46842bf1c16c1e4981c6fa8cfd2ead12cb680c9a9c872aab0f333", 0),
+    ("c2a71cc8e3e8b4294034d6de49e9bd4480ec3353cdab68b6c8107ac3a9b02ed3", 0),
     ("f1d4731a3900dada5b8142aba0de6395c9edadf2044209b4390b25e4d32199ad", 0),
     ("ef544e2af3fa162f9a538a306f092a1888f347432c8e8a6caa4739880f8b90a5", 0),
     ("ecc4108e238530c07a092b587020945d9949a333ecfdfc913a9fc23cd3e73e1f", 0),
@@ -28,7 +28,7 @@ PINNED = [
     ("7280945178b0920c46cfd4e3bda793dff8953f21033e4ec2c82195d79d6c1e32", 0),
     ("e64a8c38a38eec2207f806b47accbad991bdb6e91e6c1142a907e9ebfcf5aeee", 0),
     ("30529574a131e87b0b88de0fb55bd86e3b445cc57de77debd118ca4921168388", 0),
-    ("0af2c4137226e2d3cdc68df252878e954c0ae05b774d468dfb3dde41f0cc05d1", 0),
+    ("439af9ab559b08b957095fc3b7ba97b3237d9e05556070d9ca947cf9caf14638", 0),
 ]
 
 
