@@ -82,15 +82,23 @@ class Algebra:
         """First basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k),
         or None."""
         vecs = [{i: ONE} for i in range(self.dim)]
+        prods = [[self.product(u, v) for v in vecs] for u in vecs]
         for i in range(self.dim):
             for j in range(self.dim):
-                ij = self.product(vecs[i], vecs[j])
                 for k in range(self.dim):
-                    left = self.product(ij, vecs[k])
-                    right = self.product(vecs[i], self.product(vecs[j], vecs[k]))
-                    if left != right:
+                    if (self.product(prods[i][j], vecs[k])
+                            != self.product(vecs[i], prods[j][k])):
                         return (i, j, k)
         return None
+
+    def ensure_associative(self) -> None:
+        """Raise InvariantViolation naming the first basis triple of
+        associativity_witness, if there is one."""
+        w = self.associativity_witness()
+        if w is not None:
+            x, y, z = (self.basis_labels[i] for i in w)
+            raise InvariantViolation(f"table is not associative: "
+                                     f"({x}*{y})*{z} != {x}*({y}*{z})", w)
 
     def unit_witness(self):
         """Basis index where the declared unit fails, or None."""
@@ -503,8 +511,18 @@ def wedderburn(a: Algebra) -> WedderburnData:
     The blocks of A/J are e A/J for its primitive central idempotents e.
     The block order is canonical (sorted by leading idempotent coordinate
     in the quotient, then dimension). Raises NonSplit when A/J is not a
-    sum of matrix algebras over the rationals.
+    sum of matrix algebras over the rationals. When an internal check
+    fails, the table is scanned for associativity, and a non-associative
+    table raises InvariantViolation instead of the IntegrityError.
     """
+    try:
+        return _wedderburn(a)
+    except IntegrityError:
+        a.ensure_associative()
+        raise
+
+
+def _wedderburn(a: Algebra) -> WedderburnData:
     rad = radical(a)
     jpowers = radical_powers(a, rad)
     nil_index = len(jpowers) + 1 if rad else 1

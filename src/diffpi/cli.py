@@ -403,6 +403,7 @@ def cmd_validate(args):
 
 def cmd_codim(args):
     loaded = load_input(args.input)
+    loaded.algebra.ensure_associative()
     awd = loaded.checked()
     ob = operator_basis(awd.algebra, awd.action)
     rows = []
@@ -440,6 +441,7 @@ def cmd_codim(args):
 
 def cmd_cocharacter(args):
     loaded = load_input(args.input)
+    loaded.algebra.ensure_associative()
     awd = loaded.checked()
     ob = operator_basis(awd.algebra, awd.action)
     table = cocharacter(awd.algebra, ob, args.n, budget=args.budget)
@@ -513,6 +515,7 @@ def cmd_classify(args):
 
 def cmd_check_identity(args):
     loaded = load_input(args.input)
+    loaded.algebra.ensure_associative()
     awd = loaded.checked()
     ob = operator_basis(awd.algebra, awd.action)
     rows = []
@@ -548,6 +551,8 @@ def _read_generators(path: str, ob) -> list:
 
 def cmd_consequences(args):
     loaded = load_input(args.input)
+    if args.check:
+        loaded.algebra.ensure_associative()
     awd = loaded.checked()
     ob = operator_basis(awd.algebra, awd.action)
     gens = _read_generators(args.gens, ob)

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, product
-from math import factorial
+from itertools import combinations, permutations, product
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (DiffSyntaxError, IntegrityError, NotMultilinear,
@@ -93,14 +91,11 @@ class DiffMonomial(NamedTuple):
     """One product x_{perm[0]}^{labels[0]} ... with 0-indexed variables.
 
     Ordering of monomials (and hence every deterministic choice built on
-    it) is plain tuple order on (perm, labels).
+    it) is plain tuple order on (perm, labels). The columns of the
+    consequence span are all degree-n monomials in this order.
     """
     perm: tuple
     labels: tuple
-
-    @property
-    def degree(self) -> int:
-        return len(self.perm)
 
 
 class DiffPoly:
@@ -240,7 +235,6 @@ class _Parser:
     def __init__(self, src: str, ob: OperatorBasis):
         self.src = src
         self.ob = ob
-        self.pos = 0
         self.toks = []
         self._tokenize()
         self.i = 0
@@ -404,31 +398,6 @@ def format_diff_poly(p: DiffPoly, ob: OperatorBasis) -> str:
     return " ".join(parts)
 
 
-@lru_cache(maxsize=None)
-def perm_rank(perm: tuple) -> int:
-    """Lexicographic rank of a permutation of 0..n-1 (cached: n! orders)."""
-    n = len(perm)
-    rank_ = 0
-    rest = list(range(n))
-    for p in perm:
-        i = rest.index(p)
-        rank_ = rank_ * len(rest) + i
-        rest.pop(i)
-    return rank_
-
-
-def monomial_index(m: DiffMonomial, n: int, k: int) -> int:
-    """Position of a monomial in the lex order on (perm, labels)."""
-    lab = 0
-    for h in m.labels:
-        lab = lab * k + h
-    return perm_rank(m.perm) * k ** n + lab
-
-
-def _poly_row(p: DiffPoly, n: int, k: int) -> dict:
-    return {monomial_index(m, n, k): c for m, c in p.terms.items()}
-
-
 def _substitution_instances(g: DiffPoly, n: int, ob: OperatorBasis):
     """The identity-order degree-n consequences of g under monomial
     substitution and outer multiplication.
@@ -493,16 +462,22 @@ def consequences(gens: Sequence[DiffPoly], n: int, ob: OperatorBasis) -> list[Di
     order: it is unique for the span, so it depends only on the ideal,
     not on the order or the scaling of the generators.
     """
-    k = ob.k
     for g in gens:
         validate_multilinear(g)
     # generators of degree above n have no degree-n instances
     gens = [g for g in gens if g.n <= n]
+    if not gens:
+        return []
+    # the columns: every degree-n monomial, in tuple order
+    monos = [DiffMonomial(perm, labels) for perm in permutations(range(n))
+             for labels in product(range(ob.k), repeat=n)]
+    index = {m: j for j, m in enumerate(monos)}
     span = RowSpan()
     queue: list[DiffPoly] = []
 
     def push(p: DiffPoly):
-        if not p.is_zero() and span.insert(_poly_row(p, n, k)):
+        if not p.is_zero() and span.insert(
+                {index[m]: c for m, c in p.terms.items()}):
             queue.append(p)
 
     for g in gens:
@@ -515,29 +490,6 @@ def consequences(gens: Sequence[DiffPoly], n: int, ob: OperatorBasis) -> list[Di
             push(derive_poly(g, p, ob))
         for sw in swaps:
             push(sn_act(sw, p))
-    basis = []
     rref = span.reduced_rows()
-    for row in (rref[c] for c in sorted(rref)):
-        terms = {}
-        for col, c in row.items():
-            pr, lab = divmod(col, k ** n)
-            terms[DiffMonomial(_perm_unrank(pr, n), _labels_unrank(lab, n, k))] = c
-        basis.append(DiffPoly(n, terms))
-    return basis
-
-
-def _perm_unrank(r: int, n: int) -> tuple:
-    rest = list(range(n))
-    out = []
-    for i in range(n, 0, -1):
-        q, r = divmod(r, factorial(i - 1))
-        out.append(rest.pop(q))
-    return tuple(out)
-
-
-def _labels_unrank(code: int, n: int, k: int) -> tuple:
-    out = []
-    for _ in range(n):
-        code, h = divmod(code, k)
-        out.append(h)
-    return tuple(reversed(out))
+    return [DiffPoly(n, {monos[j]: c for j, c in rref[r].items()})
+            for r in sorted(rref)]

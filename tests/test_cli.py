@@ -52,6 +52,23 @@ def test_validate_non_associative_file(capsys, tmp_path):
     assert rows["associativity"]["witness"] == ["a", "a", "a"]
 
 
+def test_non_associative_file_exits_invariant(capsys, tmp_path):
+    # a*a = b and b*a = a, so (a*a)*a = a but a*(a*a) = a*b = 0
+    f = tmp_path / "na.json"
+    f.write_text(json.dumps({"dim": 2, "basis": ["a", "b"],
+                             "table": [[0, 0, [[1, 1]]], [1, 0, [[0, 1]]]]}))
+    g = tmp_path / "gens.txt"
+    g.write_text("[x1,x2]\n")
+    for command, *opts in (["codim"], ["cocharacter", "--n", "2"],
+                           ["check-identity", "--poly", "x1*x2"],
+                           ["exponent"], ["classify"], ["decompose"],
+                           ["consequences", "--gens", str(g), "--n", "2",
+                            "--check"]):
+        code, out, err = run(capsys, command, str(f), *opts)
+        assert (command, code) == (command, 2)
+        assert "not associative: (a*a)*a != a*(a*a)" in err
+
+
 def test_validate_leibniz_failure(capsys, tmp_path):
     f = tmp_path / "nl.json"
     f.write_text(json.dumps({

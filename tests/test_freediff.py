@@ -1,11 +1,13 @@
 import json
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import PARSER_CORPUS, random_split_algebra
+from corpus import PARSER_CORPUS, corpus, random_split_algebra
 from diffpi import (Derivation, DiffPoly, DiffSyntaxError, NotMultilinear,
                     UnknownOperator, builtin, codim, codim_via_ideal,
                     consequences, derive_poly, format_diff_poly,
@@ -13,8 +15,7 @@ from diffpi import (Derivation, DiffPoly, DiffSyntaxError, NotMultilinear,
                     validate_multilinear)
 from diffpi import freediff
 from diffpi.cli import main
-from diffpi.freediff import (DiffMonomial, _poly_row, adjacent_swaps,
-                             apply_word, monomial_index, perm_rank)
+from diffpi.freediff import DiffMonomial, adjacent_swaps, apply_word
 from diffpi.linalg import RowSpan
 from test_linalg import gauss_jordan
 
@@ -31,6 +32,22 @@ def _after(f, g):
                 img[r] = img.get(r, 0) + c * x
         out.append({r: x for r, x in img.items() if x})
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _columns(n: int, k: int) -> dict:
+    """Column j of a degree-n row is the j-th degree-n monomial over k
+    labels in sorted tuple order on (perm, labels)."""
+    monos = sorted(DiffMonomial(perm, labels)
+                   for perm in permutations(range(n))
+                   for labels in product(range(k), repeat=n))
+    return {m: j for j, m in enumerate(monos)}
+
+
+def _row(p: DiffPoly, k: int) -> dict:
+    """p as a RowSpan row, columns in the order consequences promises."""
+    columns = _columns(p.n, k)
+    return {columns[m]: c for m, c in p.terms.items()}
 
 
 def _coordinates(basis, m):
@@ -225,19 +242,6 @@ def test_apply_word_composes_rightmost_first(ut2eps_ob):
     assert one_then_one.terms == both.terms
 
 
-def test_monomial_index_bijective():
-    n, k = 3, 2
-    from itertools import permutations, product
-    seen = set()
-    for perm in permutations(range(n)):
-        for labels in product(range(k), repeat=n):
-            idx = monomial_index(DiffMonomial(perm, labels), n, k)
-            assert 0 <= idx < factorial(n) * k ** n
-            seen.add(idx)
-    assert len(seen) == factorial(n) * k ** n
-    assert perm_rank((0, 1, 2)) == 0
-
-
 def test_consequences_ut2eps_degree2(ut2eps_gens, ut2eps_ob):
     basis = consequences(ut2eps_gens, 2, ut2eps_ob)
     assert len(basis) == 3
@@ -250,10 +254,10 @@ def test_consequences_closed_under_derive_and_swap(ut2eps_gens, ut2eps_ob):
     basis = consequences(ut2eps_gens, 2, ob)
     span = RowSpan()
     for b in basis:
-        span.insert(_poly_row(b, 2, ob.k))
+        span.insert(_row(b, ob.k))
     for b in basis:
         for image in (derive_poly(0, b, ob), sn_act((1, 0), b)):
-            row = _poly_row(image, 2, ob.k)
+            row = _row(image, ob.k)
             assert not row or span.contains(row)
 
 
@@ -271,13 +275,12 @@ def _all_orders_consequences(gens, n, ob) -> dict:
     substituted in all n! variable orders, built from DiffPoly products
     and apply_word, then closed under the generating derivations and
     adjacent swaps. Returns its reduced echelon basis {pivot: row}."""
-    from itertools import combinations, permutations, product
     k = ob.k
     span = RowSpan()
     queue = []
 
     def push(p):
-        row = _poly_row(p, n, k)
+        row = _row(p, k)
         if row and span.insert(row):
             queue.append(p)
 
@@ -313,7 +316,7 @@ def _assert_matches_all_orders(gens, n, ob):
     basis = consequences(gens, n, ob)
     ref = _all_orders_consequences(gens, n, ob)
     # same span, returned as its reduced echelon rows sorted by pivot
-    assert [_poly_row(b, n, ob.k) for b in basis] == [ref[c] for c in sorted(ref)]
+    assert [_row(b, ob.k) for b in basis] == [ref[c] for c in sorted(ref)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -331,6 +334,34 @@ def test_consequences_canonical_under_generator_order_and_scale(ut2eps_gens,
                  for gens in (ut2eps_gens, reordered, rescaled)]
         assert texts[0] == texts[1] == texts[2]
         assert len(texts[0]) == {3: 35, 4: 351}[n]
+
+
+def _assert_reduced_by_leading_monomial(basis):
+    """Leading monomials strictly increase in tuple order, each row is 1
+    at its own leading monomial and has no term at any other one."""
+    leads = [min(b.terms) for b in basis]
+    assert all(u < v for u, v in zip(leads, leads[1:]))
+    for b, lead in zip(basis, leads):
+        assert b.terms[lead] == 1
+        assert set(b.terms).isdisjoint(set(leads) - {lead})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_consequences_rows_reduced_ut2eps(ut2eps_gens, ut2eps_ob, n):
+    _assert_reduced_by_leading_monomial(consequences(ut2eps_gens, n,
+                                                     ut2eps_ob))
+
+
+def test_consequences_rows_reduced_three_labels():
+    awd = corpus(6, seed=7)[5]
+    ob = operator_basis(awd.algebra, awd.action)
+    assert ob.k == 3
+    gens = [parse_diff_poly(src, ob)
+            for src in ("x1^d0*x2 - x2*x1^d1", "[x1,x2]*x3^d1")]
+    for n in (2, 3):
+        basis = consequences(gens, n, ob)
+        assert 0 < len(basis) < factorial(n) * ob.k ** n
+        _assert_reduced_by_leading_monomial(basis)
 
 
 def test_format_zero_poly(ut2eps_ob):
