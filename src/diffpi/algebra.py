@@ -11,10 +11,11 @@ lifted complement.
 
 Every algebra element is a sparse vector, a dict {index: Fraction}
 holding only the nonzero coordinates; Algebra.product is the one
-multiplication loop. Every linear map is the tuple of its column
-images, f[j] = f(e_j), and every linear system is given by its sparse
-columns. Dense coordinates appear only where data enters or leaves: the
-declared unit and the rows of a derivation matrix.
+multiplication loop, and it keeps ints as ints for the integer
+multiples that codim's closure steps on. Every linear map is the tuple
+of its column images, f[j] = f(e_j), and every linear system is given
+by its sparse columns. Dense coordinates appear only where data enters
+or leaves: the declared unit and the rows of a derivation matrix.
 
 Every result is deterministic: it depends on the input alone, never on
 dict iteration order.
@@ -54,7 +55,8 @@ class Algebra:
 
     def product(self, u: dict, v: dict) -> dict:
         """Product of sparse vectors: only pairs of nonzero coordinates
-        are visited, and only nonzero entries are returned."""
+        are visited, and only nonzero entries are returned. No zero seeds
+        a sum, so int tables and int vectors give int products."""
         table = self.table
         out: dict = {}
         for i, ui in u.items():
@@ -63,7 +65,8 @@ class Algebra:
                 if prod:
                     c = ui * vj
                     for k, w in prod.items():
-                        out[k] = out.get(k, ZERO) + c * w
+                        x = c * w
+                        out[k] = out[k] + x if k in out else x
         return {k: x for k, x in out.items() if x}
 
     def bracket(self, u: dict, v: dict) -> dict:

@@ -684,10 +684,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(raw)
     except SystemExit as e:
         return EXIT_OK if not e.code else EXIT_USAGE
-    for name in ("n", "max_n", "cocharacter_depth"):
-        if getattr(args, name, None) is not None and getattr(args, name) < 1:
-            print(f"error: --{name.replace('_', '-')} must be at least 1",
-                  file=sys.stderr)
+    for name, least in (("n", 1), ("max_n", 1), ("cocharacter_depth", 1),
+                        ("budget", 0)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            print(f"error: --{name.replace('_', '-')} must be at least "
+                  f"{least}", file=sys.stderr)
             return EXIT_USAGE
     try:
         loaded, results, warnings, code = _DISPATCH[args.command](args)

@@ -22,6 +22,14 @@ of W_n under the n-1 adjacent swaps. c_n^L is the dimension of that
 closure, and c_n the dimension of the closure of the one identity-label
 row.
 
+The closure steps on ints: the table and each operator's images are
+scaled once by their common denominators (_integer_images), so its rows
+are positive integer multiples of the exact rows and its RowSpan is the
+one the exact rows build. monomial_row, poly_row, evaluate and
+is_identity combine rows of different label words with coefficients, so
+they step on the exact Fraction images, and every value that leaves
+this module is a Fraction.
+
 codim() is the one evaluation pass per degree: it returns both closures
 as RowSpans, and the module traces of characters.py read those spans by
 moving columns, never by evaluating or eliminating again.
@@ -29,8 +37,8 @@ moving columns, never by evaluating or eliminating again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb, factorial
+from dataclasses import dataclass, replace
+from math import comb, factorial, lcm
 from typing import Optional, Sequence
 
 from .algebra import Algebra
@@ -127,10 +135,30 @@ class CodimResult:
     ordinary: RowSpan   # the same for identity labels only
 
 
+def _integer_images(a: Algebra, ops: Sequence) -> tuple:
+    """The algebra with its table times D_T, the lcm of the table's
+    denominators, and each operator's column images times D_h, the lcm
+    of that operator's denominators, all as ints."""
+    def scaled(vecs):
+        den = lcm(*[x.denominator for v in vecs for x in v.values()])
+        return [{k: x.numerator * (den // x.denominator)
+                 for k, x in v.items()} for v in vecs]
+
+    table = dict(zip(a.table, scaled(a.table.values())))
+    return replace(a, table=table), tuple(tuple(scaled(op)) for op in ops)
+
+
 def _closure_rows(a: Algebra, ops: Sequence, n: int) -> RowSpan:
     """The S_n-closure of the identity-order span at degree n, for the
     labels of the given operators (their column images are the image
-    tables)."""
+    tables).
+
+    The steps run on _integer_images: the row of labels h_1..h_n comes
+    out as D_T^(n-1) D_(h_1)...D_(h_n) times its exact row, and a swapped
+    row as the same positive multiple. RowSpan keeps only the primitive
+    integer form of a row, which a positive factor does not change, so
+    the span is exactly the one the exact rows build."""
+    a, ops = _integer_images(a, ops)
     dim = a.dim
     blocked = [{0: None}]
     for _ in range(n):

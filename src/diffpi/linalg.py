@@ -1,11 +1,14 @@
 """Exact sparse linear algebra over the rationals.
 
-Scalars are fractions.Fraction throughout: arithmetic is exact and
+Every scalar this module computes and returns is a fractions.Fraction
+(stack only moves the entries it is given): arithmetic is exact and
 canonical (normalized sign, lowest terms), so equality of results never
 depends on evaluation order and no rounding ever happens. Vectors are
 sparse dicts {column: scalar}. RowSpan eliminates on primitive integer
 multiples of its rows, in the spirit of fraction-free Gaussian
 elimination, and returns the same pivots as rational elimination would.
+It takes rows of ints as well as of Fractions, and a row and any
+positive multiple of it reduce to the same primitive integer row.
 
 All pivot choices are deterministic: columns are cleared left to right,
 by the earliest inserted row in RowSpan. Same input, same pivots, same

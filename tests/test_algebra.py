@@ -466,3 +466,16 @@ def test_product_matches_dense_structure_constants(case):
     assert got == {k: x for k, x in enumerate(want) if x}
     assert all(got.values())
     assert a.multiply(u, v) == tuple(want)
+    # the same kernel on ints (the numerators) stays in ints
+    ints = Algebra(dim=dim, basis_labels=a.basis_labels,
+                   table={key: {k: x.numerator for k, x in prod.items()}
+                          for key, prod in table.items()})
+    iu = {i: x.numerator for i, x in enumerate(u) if x}
+    iv = {j: x.numerator for j, x in enumerate(v) if x}
+    got = ints.product(iu, iv)
+    assert all(type(x) is int and x for x in got.values())
+    exact = Algebra(dim=dim, basis_labels=a.basis_labels,
+                    table={key: {k: F(x) for k, x in prod.items()}
+                           for key, prod in ints.table.items()})
+    assert got == exact.product({i: F(x) for i, x in iu.items()},
+                                {j: F(x) for j, x in iv.items()})

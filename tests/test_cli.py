@@ -318,6 +318,9 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     capsys.readouterr()
     assert main(["codim", "UT2eps", "--max-n", "0"]) == 1
     capsys.readouterr()
+    code, out, err = run(capsys, "codim", "UT2eps", "--budget", "-5")
+    assert code == 1
+    assert err == "error: --budget must be at least 0\n"
     assert main(["codim", "UT2eps", "--ordinary", "--formula"]) == 1
     capsys.readouterr()
     # a directory as input, and a report path in a missing directory

@@ -5,12 +5,14 @@ from itertools import permutations, product
 import pytest
 
 from corpus import corpus
-from diffpi import (DEFAULT_BUDGET, BudgetExceeded, DiffMonomial, DiffPoly,
+from diffpi import (DEFAULT_BUDGET, Algebra, AlgebraWithDerivations,
+                    BudgetExceeded, Derivation, DiffMonomial, DiffPoly,
                     builtin, codim, codim_via_ideal, consequences_cost,
-                    evaluate, evaluation_cost, is_identity, operator_basis,
-                    parse_diff_poly)
+                    evaluate, evaluation_cost, is_identity, make_action,
+                    operator_basis, parse_diff_poly)
 from diffpi.codim import monomial_row, poly_row
-from diffpi.linalg import RowSpan, combine, reduced_echelon
+from diffpi.linalg import (RowSpan, combine, coordinates, reduced_echelon,
+                           to_rows)
 
 F = Fraction
 
@@ -123,6 +125,50 @@ def greedy_quotient(a, ob, n, labels=None):
     return out
 
 
+def rebase(awd, basis):
+    """The algebra (without its declared unit) and action written in a
+    new basis, given as sparse vectors in the old one: the structure
+    constants and the derivation columns are the new coordinates of
+    f_i·f_j and of d(f_j)."""
+    a = awd.algebra
+    coords = coordinates(basis)
+    table = {}
+    for i, u in enumerate(basis):
+        for j, v in enumerate(basis):
+            if prod := coords(a.product(u, v)):
+                table[(i, j)] = prod
+    b = Algebra(dim=a.dim, basis_labels=a.basis_labels, table=table)
+    gens = [Derivation(g.name, to_rows([coords(combine(f, g.columns))
+                                        for f in basis]))
+            for g in awd.action.generators]
+    return AlgebraWithDerivations(b, make_action(b, gens))
+
+
+def _diagonal(*d):
+    return [{i: x} for i, x in enumerate(d)]
+
+
+# rational changes of basis, the first inputs whose tables have
+# denominators other than 1: (builtin, new basis, whether some operator
+# image has one too). UT2eps's operators are diagonal on its own basis,
+# so only a change that is not diagonal gives them denominators.
+REBASED = {
+    "UT2eps-diag": ("UT2eps", _diagonal(F(1, 2), F(3), F(-2, 5)), False),
+    "M2sl2-diag": ("M2sl2", _diagonal(F(1, 2), F(3), F(-2, 5), F(1)), True),
+    "UT2eps-tri": ("UT2eps", [{0: F(1, 2), 2: F(1, 3)}, {1: F(3)},
+                              {2: F(-2, 5)}], True),
+}
+
+
+def _denominators(vecs):
+    return {x.denominator for v in vecs for x in v.values()}
+
+
+def _rebased(case):
+    name, basis, _ = REBASED[case]
+    return rebase(builtin(name), basis)
+
+
 def _ref_cases():
     for name, max_n in (("UT2eps", 6), ("M2sl2", 3), ("Fn(1)", 4)):
         awd = builtin(name)
@@ -134,6 +180,10 @@ def _ref_cases():
         max_n = 2 if i in (0, 2) else 3
         for n in range(1, max_n + 1):
             yield pytest.param(awd, n, id=f"corpus7.{i}-{n}")
+    for case in sorted(REBASED):
+        awd = _rebased(case)
+        for n in (1, 2, 3):
+            yield pytest.param(awd, n, id=f"{case}-{n}")
 
 
 @pytest.mark.parametrize("awd,n", list(_ref_cases()))
@@ -146,6 +196,49 @@ def test_codim_matches_greedy_route(awd, n):
     assert (r.c_n_L, r.c_n_ordinary) == (len(ref), len(ref_ord))
     assert r.quotient.reduced_rows() == reduced_echelon(ref)
     assert r.ordinary.reduced_rows() == reduced_echelon(ref_ord)
+
+
+@pytest.mark.parametrize("case", sorted(REBASED))
+def test_rational_basis_keeps_the_builtin_codimensions(case):
+    name, _, rational_ops = REBASED[case]
+    awd = _rebased(case)
+    a = awd.algebra
+    ob = operator_basis(a, awd.action)
+    assert a.associativity_witness() is None
+    # the scale factors differ from 1, so a wrong one changes the rows
+    assert max(_denominators(a.table.values())) > 1
+    op_dens = set().union(*(_denominators(op) for op in ob.ops))
+    assert (max(op_dens) > 1) == rational_ops
+    base = builtin(name)
+    base_ob = operator_basis(base.algebra, base.action)
+    for n in (1, 2, 3):
+        r, want = codim(a, ob, n), codim(base.algebra, base_ob, n)
+        assert (r.c_n_L, r.c_n_ordinary) == (want.c_n_L, want.c_n_ordinary)
+
+
+def _fractions_only(vecs):
+    return all(type(x) is F for v in vecs for x in v.values())
+
+
+@pytest.mark.parametrize("case", ["UT2eps", "M2sl2", *sorted(REBASED)])
+def test_integer_images_build_the_exact_span(case, monkeypatch):
+    awd = _rebased(case) if case in REBASED else builtin(case)
+    a = awd.algebra
+    ob = operator_basis(a, awd.action)
+    scaled = [codim(a, ob, n) for n in (1, 2, 3)]
+    # the closure stepped on the exact Fraction images instead
+    module = importlib.import_module("diffpi.codim")
+    monkeypatch.setattr(module, "_integer_images", lambda a, ops: (a, ops))
+    exact = [codim(a, ob, n) for n in (1, 2, 3)]
+    for s, e in zip(scaled, exact):
+        for x, y in ((s.quotient, e.quotient), (s.ordinary, e.ordinary)):
+            # the same rows, inserted in the same order
+            assert list(x.pivots.items()) == list(y.pivots.items())
+            assert list(x._ints.items()) == list(y._ints.items())
+    # the scaling works on copies: the inputs keep their Fractions
+    assert _fractions_only(a.table.values())
+    assert all(_fractions_only(op) for op in ob.ops)
+
 
 # frozen oracle values for UT2eps, re-derived by independent brute
 # force before the evaluation code existed (scripts/bruteforce_ut2.py)
