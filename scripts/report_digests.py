@@ -62,6 +62,7 @@ CALLS = (
     ["decompose", "Mk(2)+Mk(3)+UTk(2)"],
     ["exponent", "Mk(2)+UTk(3)"],
     ["classify", "Mk(2)+UTk(2)"],
+    ["cocharacter", "Mk(2)", "--n", "4"],
 )
 
 

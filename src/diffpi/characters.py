@@ -6,14 +6,15 @@ traces of one representative permutation per cycle type. Evaluation is
 S_n-equivariant, so the row of g.m is the row of m with the digits of
 its input-tuple columns permuted by g (codim.permuted_row). module_trace
 reads the span that codim() built, closed under S_n by the same moves:
-the trace of g is read off the moved rows of its reduced echelon basis,
-in which a row's coordinates are its pivot entries, so nothing is
-evaluated or eliminated twice. Everything is exact; a multiplicity that
+each moved echelon row is reduced once against that span, which checks
+that it stays inside and gives its coefficient on its own row, so
+nothing is evaluated twice. Everything is exact; a multiplicity that
 fails to be a non-negative integer aborts loudly.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import NamedTuple, Optional
@@ -114,25 +115,22 @@ def module_trace(dim: int, n: int, span: RowSpan) -> dict:
     """Trace of each cycle type acting on the multilinear quotient.
 
     span holds the evaluation rows of the quotient, as codim() returns
-    it, and is a space V that every g maps into itself. In the reduced
-    echelon basis of V a vector's coordinates are its entries at the
-    pivot columns, so the trace of g sums, over the basis rows b with
-    pivot column c, entry c of the relabelled row of b. Exact by
-    construction; a relabelled row outside V means the span is not an
-    S_n-module.
+    it, and is a space V that every g maps into itself. The trace of g
+    sums, over the echelon rows p_c of V, the multiplier of p_c in the
+    relabelled row g.p_c, which one forward reduction of g.p_c gives.
+    Exact and basis independent; a relabelled row outside V means the
+    span is not an S_n-module.
     """
-    basis = span.reduced_rows()
     out = {}
     for mu in partitions(n):
         g = representative(mu, n)
-        tr = ZERO
-        for c, b in basis.items():
-            moved = permuted_row(b, g, n, dim)
-            if not span.contains(moved):
+        out[mu] = ZERO
+        for c, row in span.pivots.items():
+            used: dict = {}
+            if span._reduce(permuted_row(row, g, n, dim), used):
                 raise IntegrityError("permuted row escaped the quotient "
                                      "span; evaluation is not equivariant")
-            tr += moved.get(c, ZERO)
-        out[mu] = tr
+            out[mu] += Fraction(*used.get(c, (0, 1)))
     return out
 
 
@@ -198,7 +196,8 @@ def cocharacter(a: Algebra, ob: OperatorBasis, n: int,
     """Cocharacter decomposition at degree n, with the ordinary one."""
     full = codim(a, ob, n, budget=budget)
     traces = module_trace(a.dim, n, full.quotient)
-    traces_ord = module_trace(a.dim, n, full.ordinary)
+    traces_ord = (traces if full.ordinary is full.quotient
+                  else module_trace(a.dim, n, full.ordinary))
     rows = multiplicity_rows(n, traces, traces_ord)
     # c_n is the identity trace, and by column orthogonality the
     # multiplicities rebuild the identity trace for any traces: these

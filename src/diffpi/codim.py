@@ -31,8 +31,9 @@ they step on the exact Fraction images, and every value that leaves
 this module is a Fraction.
 
 codim() is the one evaluation pass per degree: it returns both closures
-as RowSpans, and the module traces of characters.py read those spans by
-moving columns, never by evaluating or eliminating again.
+as RowSpans, one span when there is one label, and the module traces of
+characters.py read those spans by moving the columns of their echelon
+rows and reducing each moved row once, never by evaluating again.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ positive multiple of it reduce to the same primitive integer row.
 
 All pivot choices are deterministic: columns are cleared left to right,
 by the earliest inserted row in RowSpan. Same input, same pivots, same
-output. nullspace, solve and coordinates read the reduced echelon form,
-which is unique for a span.
+output. One forward reduction gives membership and, by the multipliers
+it takes off, coordinates (RowSpan.express, coordinates). nullspace and
+solve read the reduced echelon form, which is unique for a span.
 
 A linear map is a tuple of column images, f[j] = f(e_j) as a sparse
 vector: combine(v, f) applies f to v, compose(f, g) is f after g, and
@@ -98,7 +99,7 @@ def reduced_echelon(rows: Iterable[dict]) -> dict:
     the order or the choice of the rows."""
     span = RowSpan()
     for row in rows:
-        span.insert({j: v for j, v in row.items() if v})
+        span.insert(row)
     return span.reduced_rows()
 
 
@@ -157,37 +158,26 @@ def coordinates(basis: Sequence[dict]
     """The coordinate map of a basis, or None if the basis is dependent.
 
     The returned map sends a vector v to {i: c}, sorted by i and without
-    zeros, with v = sum of c times basis[i]; it sends a vector outside
-    the span to None. It is read off the reduced echelon form of
-    [basis | I]: each row there is a vector of the span next to its
-    coordinates, so a vector's entries at the pivot columns (its
-    RowSpan.express) pick the rows that add up to it.
+    zeros, with v = sum of c times basis[i], and a vector outside the
+    span to None. The echelon rows of [basis | I] are vectors of the
+    span next to their coordinates; v's RowSpan.express picks them.
     """
     off = 1 + max((c for b in basis for c in b), default=-1)
-    aug = reduced_echelon({**b, off + i: ONE} for i, b in enumerate(basis))
-    if any(c >= off for c in aug):  # some combination of the basis is 0
+    aug = RowSpan()
+    for i, b in enumerate(basis):
+        aug.insert({**b, off + i: ONE})
+    if any(c >= off for c in aug.pivots):  # some combination of basis is 0
         return None
-    span = RowSpan()
-    back = {}  # pivot -> (den, ints): the row's coordinates are ints / den
-    for c, row in aug.items():
+    span, coords_of = RowSpan(), {}
+    for c, row in aug.pivots.items():
         span.insert({j: v for j, v in row.items() if j < off})
-        den = lcm(*[v.denominator for j, v in row.items() if j >= off])
-        back[c] = den, {j - off: v.numerator * (den // v.denominator)
-                        for j, v in row.items() if j >= off}
+        coords_of[c] = {j - off: v for j, v in row.items() if j >= off}
 
     def coords(v: dict) -> Optional[dict]:
-        pivot = span.express(v)
-        if pivot is None:
+        x = span.express(v)
+        if x is None:
             return None
-        # sum in ints over one common denominator, then one Fraction each
-        den = lcm(*[f.denominator * back[c][0] for c, f in pivot.items()])
-        out: dict[int, int] = {}
-        for c, f in pivot.items():
-            d, ints = back[c]
-            scale = f.numerator * (den // (f.denominator * d))
-            for i, x in ints.items():
-                out[i] = out.get(i, 0) + scale * x
-        return {i: Fraction(out[i], den) for i in sorted(out) if out[i]}
+        return dict(sorted(combine(x, coords_of).items()))
 
     return coords
 
@@ -206,8 +196,10 @@ class RowSpan:
     the normalized pivots are exactly those of rational elimination,
     at the cost of int rather than Fraction arithmetic.
 
-    A span keeps no record of which rows built it. To write vectors in
-    a chosen basis, use coordinates(basis).
+    express() writes a vector in these echelon rows by the same forward
+    reduction; reduced_rows() back-substitutes, for reduced_echelon and
+    consequences, which output the unique reduced basis. To write
+    vectors in a chosen basis, use coordinates(basis).
     """
 
     def __init__(self):
@@ -217,26 +209,33 @@ class RowSpan:
     def __len__(self):
         return len(self.pivots)
 
-    def _reduce(self, row: dict) -> dict:
+    def _reduce(self, row: dict, used: Optional[dict] = None) -> dict:
         """The residue of row against the span, as a primitive integer
-        row: a nonzero multiple of the rational residue, or {}."""
+        row: a nonzero multiple of the rational residue, or {}. A given
+        dict used gets used[c] = (num, den), in increasing c, where
+        num/den is the multiplier of each pivots[c] taken off."""
         if not row:  # most products offered by exponent() vanish
             return {}
         den = lcm(*[v.denominator for v in row.values()])
-        res = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+        res = {j: v.numerator * (den // v.denominator)
+               for j, v in row.items() if v}
+        sn, sd = den, 1  # res is sn/sd times row minus the multiples
         while res:
             c = gcd(*res.values())
             if c != 1:
                 res = {j: v // c for j, v in res.items()}
+                sd *= c
             lead = min(res)
             piv = self._ints.get(lead)
             if piv is None:
                 break
-            r = res[lead]
-            g = gcd(piv[lead], r)
-            a, b = piv[lead] // g, r // g
+            g = gcd(piv[lead], res[lead])
+            a, b = piv[lead] // g, res[lead] // g
             if a != 1:
                 res = {j: a * v for j, v in res.items()}
+                sn *= a
+            if used is not None:  # piv is piv[lead] times pivots[lead]
+                used[lead] = b * sd * piv[lead], sn
             for j, v in piv.items():
                 nv = res.get(j, 0) - b * v
                 if nv:
@@ -260,13 +259,13 @@ class RowSpan:
         return not self._reduce(row)
 
     def express(self, row: dict) -> Optional[dict]:
-        """Coordinates of row in the reduced echelon basis, or None if
-        row is outside the span. Each basis row is 1 at its own pivot
-        column and 0 at every other one, so the coordinates are row's
-        entries at the pivot columns, as {pivot column: entry}."""
-        if self._reduce(row):
+        """Coordinates of row in the span's own echelon rows, or None if
+        row is outside the span: {c: x_c} in increasing c and without
+        zeros, with row equal to the sum of x_c times pivots[c]."""
+        used: dict = {}
+        if self._reduce(row, used):
             return None
-        return {c: v for c, v in row.items() if c in self.pivots}
+        return {c: Fraction(num, den) for c, (num, den) in used.items()}
 
     def reduced_rows(self) -> dict:
         """Reduced echelon basis {pivot column: row}: each row is 1 at its

@@ -11,7 +11,7 @@ from diffpi.characters import multiplicity_rows, representative
 from diffpi.codim import permuted_row
 from diffpi.errors import IntegrityError
 from diffpi.linalg import RowSpan, coordinates
-from test_codim import greedy_quotient, sweep_row
+from test_codim import _rebased, greedy_quotient, sweep_row
 
 F = Fraction
 
@@ -124,12 +124,21 @@ def test_full_codim_ordinary_basis(name, max_n):
         assert r.c_n_ordinary == o.c_n_L
 
 
-@pytest.mark.parametrize("name,max_n", [("UT2eps", 4), ("M2sl2", 2)])
-def test_module_trace_matches_expression_in_quotient_rows(name, max_n):
-    # second route: write each moved row of the span's own echelon basis
-    # in that basis, by the [rows | I] elimination of coordinates(), and
-    # add up the diagonal coefficients
-    awd = builtin(name)
+def _trace_cases():
+    # Mk(2) has one label, so its span is the dense ordinary one;
+    # UT2eps-tri has rational operators in a triangular rational basis
+    for name, max_n in (("UT2eps", 4), ("M2sl2", 2), ("Mk(2)", 4)):
+        yield pytest.param(builtin(name), max_n, id=f"{name}-{max_n}")
+    yield pytest.param(_rebased("UT2eps-tri"), 4, id="UT2eps-tri-4")
+
+
+@pytest.mark.parametrize("awd,max_n", list(_trace_cases()))
+def test_module_trace_matches_expression_in_quotient_rows(awd, max_n):
+    # two more routes to each trace: coordinates() of the moved echelon
+    # rows in those rows, summed on the diagonal; and, without the
+    # tracked reduction, the reduced echelon basis, in which a vector's
+    # coordinates are its pivot entries, so that tr g is the sum over
+    # its rows b_c of (g.b_c)[c]
     a = awd.algebra
     ob = operator_basis(a, awd.action)
     for n in range(1, max_n + 1):
@@ -137,11 +146,15 @@ def test_module_trace_matches_expression_in_quotient_rows(name, max_n):
         rows = list(span.pivots.values())
         coords = coordinates(rows)
         assert coords is not None
+        rref = span.reduced_rows()
         want = {}
         for mu in partitions(n):
             g = representative(mu, n)
             want[mu] = sum(coords(permuted_row(row, g, n, a.dim)).get(i, 0)
                            for i, row in enumerate(rows))
+            assert want[mu] == sum(
+                permuted_row(b, g, n, a.dim).get(c, 0)
+                for c, b in rref.items())
         assert module_trace(a.dim, n, span) == want
 
 
@@ -185,6 +198,20 @@ def test_cocharacter_ut2eps_n2(ut2eps, ut2eps_ob):
 def test_cocharacter_ut2eps_n1(ut2eps, ut2eps_ob):
     t = cocharacter(ut2eps.algebra, ut2eps_ob, 1)
     assert t.rows == (((1,), 2, 1),)
+
+
+def test_cocharacter_m2_degree5():
+    # Procesi (1984) gives c_5(M_2) = 91; on two rows the multiplicity
+    # is (lambda1 - lambda2 + 1) lambda2
+    awd = builtin("Mk(2)")
+    ob = operator_basis(awd.algebra, awd.action)
+    t = cocharacter(awd.algebra, ob, 5)
+    want = {(5,): 1, (4, 1): 4, (3, 2): 4, (3, 1, 1): 5, (2, 2, 1): 4,
+            (2, 1, 1, 1): 1, (1, 1, 1, 1, 1): 0}
+    assert t.rows == tuple((lam, m, m) for lam, m in want.items())
+    for lam in ((4, 1), (3, 2)):
+        assert want[lam] == (lam[0] - lam[1] + 1) * lam[1]
+    assert t.c_n_L == t.c_n == 91
 
 
 def test_cocharacter_field_n3():

@@ -124,13 +124,26 @@ def test_rowspan_express_combination():
     for r in rows:
         assert s.insert(dict(r))
     target = {0: F(2), 1: F(3), 2: F(1)}
-    # the reduced echelon basis is e0 - e2, e1 + e2: coordinates are the
-    # entries of target at the pivot columns 0 and 1
+    # the echelon rows are the inserted rows: target is twice the first
+    # plus the second
     combo = s.express(dict(target))
-    assert combo == {0: F(2), 1: F(3)}
-    assert combine(combo, s.reduced_rows()) == target
+    assert combo == {0: F(2), 1: F(1)}
+    assert combine(combo, s.pivots) == target
     assert s.express({0: F(1)}) is None
     assert s.express({}) == {}
+
+
+def test_rowspan_drops_explicit_zero_entries():
+    s = RowSpan()
+    assert not s.insert({0: F(0)})
+    assert s.insert({0: F(1), 1: F(0)})
+    assert s.pivots == {0: {0: F(1)}}
+    assert s.express({0: F(3), 1: F(0)}) == {0: F(3)}
+
+
+def test_coordinates_ignore_explicit_zero_entries():
+    coords = coordinates([{0: F(1)}, {1: F(1)}])
+    assert coords({0: F(1), 1: F(1), 2: F(0)}) == {0: 1, 1: 1}
 
 
 small_int = st.integers(min_value=-3, max_value=3)
@@ -211,8 +224,9 @@ def test_rowspan_matches_rational_elimination(rows):
         assert s.contains(row)
     for target in sparse:
         combo = s.express(target)
-        assert set(combo) <= set(rref)
-        assert combine(combo, rref) == target
+        assert set(combo) <= set(s.pivots) and all(combo.values())
+        assert list(combo) == sorted(combo)
+        assert combine(combo, s.pivots) == target
 
 
 def gauss_jordan(rows, ncols):

@@ -29,6 +29,7 @@ PINNED = [
     ("e64a8c38a38eec2207f806b47accbad991bdb6e91e6c1142a907e9ebfcf5aeee", 0),
     ("30529574a131e87b0b88de0fb55bd86e3b445cc57de77debd118ca4921168388", 0),
     ("439af9ab559b08b957095fc3b7ba97b3237d9e05556070d9ca947cf9caf14638", 0),
+    ("0069a9153a0163519a6b191888a8cfbe39b13cbeb318e79ef37a007099f8c2db", 0),
 ]
 
 
