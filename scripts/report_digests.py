@@ -8,7 +8,7 @@ imported from the src/ next to this script, so
 
 run in two checkouts compares them. Each line is the digest, the exit
 code and the command. The calls run in a temporary directory that holds
-the generators file and the algebra file, so no report depends on where
+the generators file and the algebra files, so no report depends on where
 the checkout is.
 """
 
@@ -41,6 +41,28 @@ SKEWED = {
     "derivations": [{"name": "d", "matrix": [["0", "0"], ["1", "1"]]}],
 }
 
+# UT2eps without its unit on the rational basis f1 = e11/2 + e12/3,
+# f2 = 3 e22, f3 = -2/5 e12: the table and eps have real denominators
+UT2EPS_TRI = {
+    "dim": 3,
+    "basis": ["f1", "f2", "f3"],
+    "table": [[0, 0, [[0, "1/2"]]], [0, 1, [[2, "-5/2"]]],
+              [0, 2, [[2, "1/2"]]], [1, 1, [[1, "3"]]], [2, 1, [[2, "3"]]]],
+    "derivations": [{"name": "eps", "matrix": [["0", "0", "0"],
+                                               ["0", "0", "0"],
+                                               ["-5/6", "0", "1"]]}],
+}
+
+# Q x Q on u = A f1 + 2 f2, v = f2 for the 10-digit prime A = 10^9 + 7:
+# multiplication by u has the minimal polynomial (t - 2)(t - A)
+A = 10 ** 9 + 7
+QXQ = {
+    "dim": 2,
+    "basis": ["u", "v"],
+    "table": [[0, 0, [[0, str(A)], [1, str(4 - 2 * A)]]], [0, 1, [[1, "2"]]],
+              [1, 0, [[1, "2"]]], [1, 1, [[1, "1"]]]],
+}
+
 CALLS = (
     ["codim", "UT2eps", "--max-n", "6"],
     ["codim", "UT2eps", "--max-n", "6", "--ordinary"],
@@ -63,6 +85,8 @@ CALLS = (
     ["exponent", "Mk(2)+UTk(3)"],
     ["classify", "Mk(2)+UTk(2)"],
     ["cocharacter", "Mk(2)", "--n", "4"],
+    ["decompose", "ut2eps_tri.json"],
+    ["decompose", "qxq.json"],
 )
 
 
@@ -74,8 +98,10 @@ def digests() -> list:
         os.chdir(tmp)
         try:
             Path("gens.txt").write_text(GENERATORS, encoding="utf-8")
-            Path("skewed.json").write_text(json.dumps(SKEWED),
-                                           encoding="utf-8")
+            for name, data in (("skewed.json", SKEWED),
+                               ("ut2eps_tri.json", UT2EPS_TRI),
+                               ("qxq.json", QXQ)):
+                Path(name).write_text(json.dumps(data), encoding="utf-8")
             for call in CALLS:
                 report = Path("report.json")
                 report.unlink(missing_ok=True)

@@ -33,8 +33,8 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import (IntegrityError, InvariantViolation, NonSplit,
                      UnknownBuiltin)
 from .linalg import (ONE, ZERO, RowSpan, as_scalar, combine, compose,
-                     coordinates, nullspace, reduced_echelon, solve, sparse,
-                     stack, to_columns, to_rows, trace)
+                     coordinates, nullspace, solve, sparse, stack,
+                     to_columns, to_rows, trace)
 
 Vector = dict  # sparse: {index: Fraction}, nonzero entries only
 
@@ -298,12 +298,20 @@ class WedderburnData(NamedTuple):
     radical_power_bases: tuple
 
 
-def _residue(v: Vector, rref: dict) -> Vector:
-    """The canonical representative of v modulo the span of the reduced
-    echelon rows {pivot: row}: v minus its pivot entries times the rows,
-    each row being 0 at every other pivot."""
-    return combine({0: ONE, **{i: -v[c] for i, c in enumerate(rref, 1)
-                               if c in v}}, (v, *rref.values()))
+def _cosets(sub: Sequence[Vector], dim: int):
+    """(reps, rep) for span(sub) in Q^dim: reps lists the columns that
+    are no pivot of its echelon, and rep(v) is the one vector on reps
+    congruent to v modulo span(sub): the multipliers RowSpan.express
+    takes off the unit rows {c: 1}, c in reps, that complete the span."""
+    span = RowSpan()
+    for v in sub:
+        span.insert(v)
+    reps = [c for c in range(dim) if c not in span.pivots]
+    free = set(reps)
+    for c in reps:
+        span.insert({c: ONE})
+    return reps, lambda v: {c: x for c, x in span.express(v).items()
+                            if c in free}
 
 
 def _quotient(a: Algebra, rad: Sequence[Vector]):
@@ -312,14 +320,12 @@ def _quotient(a: Algebra, rad: Sequence[Vector]):
     Returns (quotient Algebra, rep column indices): quotient basis
     vector i is the class of e_{reps[i]}.
     """
-    piv = reduced_echelon(rad)
-    reps = [c for c in range(a.dim) if c not in piv]
-
+    reps, rep = _cosets(rad, a.dim)
     m = len(reps)
     table = {}
     for i in range(m):
         for j in range(m):
-            w = _residue(a.product({reps[i]: ONE}, {reps[j]: ONE}), piv)
+            w = rep(a.product({reps[i]: ONE}, {reps[j]: ONE}))
             prod = {k: w[c] for k, c in enumerate(reps) if c in w}
             if prod:
                 table[(i, j)] = prod
@@ -353,41 +359,40 @@ def _minpoly(f: Sequence[Vector]) -> list[Fraction]:
     return [combo.get(i, ZERO) for i in range(len(powers))]
 
 
-def _poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = ZERO
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _rational_roots(minrel: list[Fraction]) -> list[Fraction]:
-    """Rational roots of t^d - sum minrel[i] t^i, via the rational root
-    theorem on the cleared-denominator form."""
+    """Distinct rational roots of p(t) = t^d - sum minrel[i] t^i, in
+    increasing order: all of them when p has d distinct rational roots,
+    and never a number that is not a root.
+
+    q(s) = D^d p(s/D), D the lcm of the denominators, is monic with
+    integer coefficients, so its rational roots are integers. If they are
+    all real, Newton steps rounded down from the Cauchy bound B decrease
+    onto the largest, by 1/d of the gap or more, and reach it within
+    d * (bits of B + 2) steps; it is divided out and the search goes on
+    from it. A search that overruns or leaves [-B, B] stops.
+    """
     d = len(minrel)
-    coeffs = [-c for c in minrel] + [ONE]  # ascending, degree d monic
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    lead = ints[-1]
-    v = 0
-    while v < d and ints[v] == 0:
-        v += 1
-    roots = []
-    if v > 0:
-        roots.append(ZERO)
-    const = ints[v] if v < len(ints) else 0
-    if const:
-        for p in _divisors(abs(const)):
-            for q in _divisors(abs(lead)):
-                for sgn in (1, -1):
-                    r = Fraction(sgn * p, q)
-                    if r not in roots and _poly_eval(coeffs, r) == 0:
-                        roots.append(r)
-    return sorted(roots)
-
-
-def _divisors(n: int) -> list[int]:
-    return sorted({d for i in range(1, isqrt(n) + 1) if n % i == 0
-                   for d in (i, n // i)})
+    den = lcm(*(c.denominator for c in minrel))
+    q = [int(-c * den ** (d - i)) for i, c in enumerate(minrel)] + [1]
+    bound = 1 + max(map(abs, q))
+    x, roots = bound, set()
+    steps = per_root = d * (bound.bit_length() + 2)
+    while len(q) > 1 and steps >= 0 and -bound <= x <= bound:
+        val = slope = 0
+        for c in reversed(q):  # Horner for q(x) and q'(x)
+            slope, val = slope * x + val, val * x + c
+        if val == 0:  # divide q by s - x
+            roots.add(x)
+            quotient = []
+            for c in reversed(q[1:]):
+                val = val * x + c
+                quotient.append(val)
+            q, steps = quotient[::-1], per_root
+        elif slope == 0:
+            break
+        else:
+            x, steps = x + (-val // slope), steps - 1
+    return sorted(Fraction(r, den) for r in roots)
 
 
 def _central_idempotents(q: Algebra) -> list[Vector]:
@@ -515,12 +520,13 @@ def wedderburn(a: Algebra) -> WedderburnData:
     The block order is canonical (sorted by leading idempotent coordinate
     in the quotient, then dimension). Raises NonSplit when A/J is not a
     sum of matrix algebras over the rationals. When an internal check
-    fails, the table is scanned for associativity, and a non-associative
-    table raises InvariantViolation instead of the IntegrityError.
+    fails or no splitting is found, the table is scanned for
+    associativity, and a non-associative table raises InvariantViolation
+    instead of the IntegrityError or NonSplit.
     """
     try:
         return _wedderburn(a)
-    except IntegrityError:
+    except (IntegrityError, NonSplit):
         a.ensure_associative()
         raise
 
@@ -595,7 +601,7 @@ def split_derivation(a: Algebra, wd: WedderburnData, d: Derivation):
             raise IntegrityError(
                 "derivation cannot be made inner on the complement; "
                 "input data violates the splitting theorem")
-    x = _residue(sol, reduced_echelon(nullspace(cols)))
+    x = _cosets(nullspace(cols), a.dim)[1](sol)
     inner = inner_derivation(a, x, name=f"ad_{d.name}")
     residu = [combine({0: ONE, 1: -ONE}, (u, v))
               for u, v in zip(d.columns, inner.columns)]

@@ -13,8 +13,10 @@ positive multiple of it reduce to the same primitive integer row.
 All pivot choices are deterministic: columns are cleared left to right,
 by the earliest inserted row in RowSpan. Same input, same pivots, same
 output. One forward reduction gives membership and, by the multipliers
-it takes off, coordinates (RowSpan.express, coordinates). nullspace and
-solve read the reduced echelon form, which is unique for a span.
+it takes off, coordinates (RowSpan.express, coordinates); on the rows
+[column j | e_j] it leaves each dependent column's relation on the
+right, which gives nullspace and solve. Only consequences, which
+reports the unique reduced basis, back-substitutes (reduced_rows).
 
 A linear map is a tuple of column images, f[j] = f(e_j) as a sparse
 vector: combine(v, f) applies f to v, compose(f, g) is f after g, and
@@ -93,24 +95,21 @@ def trace(f: Sequence[dict]) -> Fraction:
     return sum((c.get(j, ZERO) for j, c in enumerate(f)), ZERO)
 
 
-def reduced_echelon(rows: Iterable[dict]) -> dict:
-    """Reduced row echelon form of the span of the rows, as
-    {pivot column: row}; unique for the span, so it does not depend on
-    the order or the choice of the rows."""
-    span = RowSpan()
-    for row in rows:
-        span.insert(row)
-    return span.reduced_rows()
-
-
-def _transposed(cols: Sequence[dict]) -> list[dict]:
-    """The rows of the system whose sparse columns are given, in
-    increasing row index."""
-    rows: dict = {}
+def _relations(cols: Sequence[dict]) -> dict:
+    """{j: x} for each column j that depends on the columns before it,
+    x the relation sum of x[k] times cols[k] = 0 with x[j] = 1 and 0 at
+    every other dependent column. Rows [cols[j] | e_j] whose left part is
+    independent join the span; the others leave x on the right."""
+    off = 1 + max((i for col in cols for i in col), default=-1)
+    span, out = RowSpan(), {}
     for j, col in enumerate(cols):
-        for i, x in col.items():
-            rows.setdefault(i, {})[j] = x
-    return [rows[i] for i in sorted(rows)]
+        res = span._reduce({**col, off + j: ONE})
+        if min(res) < off:  # res is primitive: insert keeps it as it is
+            span.insert(res)
+        else:
+            p = res[off + j]
+            out[j] = {k - off: Fraction(v, p) for k, v in res.items()}
+    return out
 
 
 def nullspace(cols: Sequence[dict]) -> list[dict]:
@@ -118,20 +117,10 @@ def nullspace(cols: Sequence[dict]) -> list[dict]:
     the x with sum of x[j] times cols[j] equal to 0, as sparse vectors.
 
     One basis vector per free column, in increasing column order, with a
-    1 in the free position. Exact and deterministic.
+    1 in the free position and 0 at every other free column. Exact and
+    deterministic.
     """
-    rref = reduced_echelon(_transposed(cols))
-    basis = []
-    for free in range(len(cols)):
-        if free in rref:
-            continue
-        vec = {free: ONE}
-        for c, row in rref.items():
-            v = row.get(free)
-            if v:
-                vec[c] = -v
-        basis.append(vec)
-    return basis
+    return list(_relations(cols).values())
 
 
 def solve(cols: Sequence[dict], b: dict) -> Optional[dict]:
@@ -140,13 +129,13 @@ def solve(cols: Sequence[dict], b: dict) -> Optional[dict]:
     inconsistent.
 
     Free variables are set to zero, which fixes the returned solution
-    uniquely: it is read off the reduced echelon form.
+    uniquely: it is the relation of b on the columns before it.
     """
     n = len(cols)
-    rref = reduced_echelon(_transposed([*cols, b]))
-    if n in rref:
+    rel = _relations([*cols, b]).get(n)
+    if rel is None:
         return None
-    x = {c: row[n] for c, row in rref.items() if n in row}
+    x = {k: -v for k, v in rel.items() if k != n}
     # paranoia: residual check is cheap at our sizes
     if combine(x, cols) != {i: v for i, v in b.items() if v}:
         return None
@@ -197,9 +186,10 @@ class RowSpan:
     at the cost of int rather than Fraction arithmetic.
 
     express() writes a vector in these echelon rows by the same forward
-    reduction; reduced_rows() back-substitutes, for reduced_echelon and
-    consequences, which output the unique reduced basis. To write
-    vectors in a chosen basis, use coordinates(basis).
+    reduction, and nullspace and solve reduce augmented rows with it;
+    reduced_rows() back-substitutes, for consequences alone, which
+    outputs the unique reduced basis. To write vectors in a chosen
+    basis, use coordinates(basis).
     """
 
     def __init__(self):

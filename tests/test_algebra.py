@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +11,10 @@ from diffpi import (Algebra, AlgebraWithDerivations, Derivation,
                     direct_sum, inner_derivation, make_action, radical,
                     radical_powers, split_derivation, wedderburn)
 from diffpi import algebra as algebra_module
+from diffpi.algebra import _quotient, _rational_roots
 from diffpi.linalg import combine
+from test_codim import REBASED, _rebased
+from test_linalg import gauss_jordan
 
 F = Fraction
 Z = F(0)
@@ -479,3 +483,143 @@ def test_product_matches_dense_structure_constants(case):
                            for key, prod in ints.table.items()})
     assert got == exact.product({i: F(x) for i, x in iu.items()},
                                 {j: F(x) for j, x in iv.items()})
+
+
+def _dense(v, dim):
+    return [v.get(k, Z) for k in range(dim)]
+
+
+def _structure_cases():
+    """The random split corpus, the builtins with derivations, rational
+    rebasings of them, and two algebras with an outer derivation."""
+    yield from (random_split_algebra(seed) for seed in range(60))
+    yield from (builtin(name) for name in ("UT2eps", "M2sl2"))
+    yield from (_rebased(case) for case in sorted(REBASED))
+    yield skewed_dual_numbers()
+    a = truncated_poly(2, unital=True)
+    d = Derivation(name="d", matrix=((Z, Z), (Z, F(1))))
+    yield AlgebraWithDerivations(a, make_action(a, [d]))
+
+
+def test_quotient_matches_gauss_jordan():
+    # reference: the reduced echelon rows of the radical are 1 at their
+    # own pivot and 0 at the others, so a product minus its pivot entries
+    # times those rows is the coset representative on the other columns
+    for awd in _structure_cases():
+        a = awd.algebra
+        rad = radical(a)
+        rref = gauss_jordan([_dense(v, a.dim) for v in rad], a.dim)
+        reps = [c for c in range(a.dim) if c not in rref]
+        table = {}
+        for i, ri in enumerate(reps):
+            for j, rj in enumerate(reps):
+                w = _dense(a.product({ri: F(1)}, {rj: F(1)}), a.dim)
+                for c, row in rref.items():
+                    w = [x - w[c] * y for x, y in zip(w, row)]
+                if prod := {k: w[c] for k, c in enumerate(reps) if w[c]}:
+                    table[(i, j)] = prod
+        q, got_reps = _quotient(a, rad)
+        assert got_reps == reps
+        assert q.table == table
+        assert q.basis_labels == tuple(a.basis_labels[c] for c in reps)
+
+
+def test_split_derivation_x_vanishes_at_kernel_pivots():
+    # reference: the Gauss-Jordan kernel of y -> ([y, t])_t over the
+    # targets split_derivation solves on, all of A when d is inner and the
+    # complement when it is not; x is 0 at every pivot column of the
+    # kernel's reduced echelon form
+    for awd in _structure_cases():
+        a = awd.algebra
+        wd = wedderburn(a)
+        for d in awd.action.generators:
+            x, dprime = split_derivation(a, wd, d)
+            if any(any(row) for row in dprime.matrix):
+                targets = list(wd.complement_basis)
+            else:
+                targets = [{i: F(1)} for i in range(a.dim)]
+            system = [[a.bracket({i: F(1)}, t).get(k, Z)
+                       for i in range(a.dim)]
+                      for t in targets for k in range(a.dim)]
+            rref = gauss_jordan(system, a.dim)
+            kernel = []
+            for free in (c for c in range(a.dim) if c not in rref):
+                vec = [Z] * a.dim
+                vec[free] = F(1)
+                for c, row in rref.items():
+                    vec[c] = -row[free]
+                kernel.append(vec)
+            assert not set(x) & set(gauss_jordan(kernel, a.dim))
+            for t in targets:
+                assert a.bracket(x, t) == combine(t, d.columns)
+
+
+def root_theorem_roots(minrel, numerators=None):
+    """Reference: the rational roots of t^d - sum minrel[i] t^i by the
+    rational root theorem. On the integer form, a nonzero root p/q has p
+    dividing the lowest nonzero coefficient and q the leading one; the
+    divisors of the first are found by trial division unless given."""
+    coeffs = [-c for c in minrel] + [F(1)]
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    low = next(c for c in ints if c)
+
+    def divisors(n):
+        n = abs(n)
+        return {k for i in range(1, isqrt(n) + 1) if n % i == 0
+                for k in (i, n // i)}
+    roots = {F(0)} if ints[0] == 0 else set()
+    for num in numerators or divisors(low):
+        for q in divisors(ints[-1]):
+            for r in (F(num, q), F(-num, q)):
+                if sum(c * r ** i for i, c in enumerate(coeffs)) == 0:
+                    roots.add(r)
+    return sorted(roots)
+
+
+def _minrel(roots):
+    """minrel of the monic polynomial with these roots, with multiplicity:
+    prod (t - r) = t^d - sum minrel[i] t^i."""
+    poly = [F(1)]  # ascending
+    for r in roots:
+        poly = [a - r * b for a, b in zip([Z] + poly, poly + [Z])]
+    return [-c for c in poly[:-1]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.builds(F, st.integers(-12, 12), st.integers(1, 6)),
+                min_size=1, max_size=4))
+@example([F(3), F(3), F(-1, 2)])  # a double root: two distinct roots
+@example([F(0), F(5, 7)])
+def test_rational_roots_of_split_polynomials(roots):
+    want = sorted(set(roots))
+    assert _rational_roots(_minrel(roots)) == want
+    assert root_theorem_roots(_minrel(roots)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.builds(F, st.integers(-30, 30), st.integers(1, 4)),
+                min_size=1, max_size=4))
+@example([F(-1), F(0)])  # t^2 + 1
+@example([F(2), F(0), F(0)])  # t^3 - 2
+@example([F(0), F(0)])  # t^2
+def test_rational_roots_are_true_roots(minrel):
+    # a polynomial that does not split may lose roots to the search, but
+    # every root returned is one, and a split one keeps all of them
+    got = _rational_roots(minrel)
+    want = root_theorem_roots(minrel)
+    assert set(got) <= set(want) and got == sorted(got)
+    if len(want) == len(minrel):
+        assert got == want
+
+
+def test_rational_roots_with_a_19_digit_coefficient():
+    # (t - 2)(t - p) for the prime p = 2^61 - 1: the root theorem reads
+    # the divisors 1, 2, p, 2p of the constant term 2p
+    p = 2 ** 61 - 1
+    minrel = _minrel([F(2), F(p)])
+    want = root_theorem_roots(minrel, numerators=[1, 2, p, 2 * p])
+    assert want == [F(2), F(p)]
+    assert _rational_roots(minrel) == want
+    assert _rational_roots(_minrel([F(p, 3), F(-1, p)])) == [F(-1, p),
+                                                            F(p, 3)]

@@ -69,6 +69,56 @@ def test_non_associative_file_exits_invariant(capsys, tmp_path):
         assert "not associative: (a*a)*a != a*(a*a)" in err
 
 
+def test_non_associative_nonsplit_file_exits_invariant(capsys, tmp_path):
+    # a*a = a, a*b = b*a = a + b, b*b = a: the Wedderburn computation
+    # stops at NonSplit, and the scan finds (a*a)*b = a + b but
+    # a*(a*b) = 2a + b
+    f = tmp_path / "na.json"
+    f.write_text(json.dumps({"dim": 2, "basis": ["a", "b"],
+                             "table": [[0, 0, [[0, 1]]],
+                                       [0, 1, [[0, 1], [1, 1]]],
+                                       [1, 0, [[0, 1], [1, 1]]],
+                                       [1, 1, [[0, 1]]]]}))
+    for command in ("exponent", "classify", "decompose"):
+        code, out, err = run(capsys, command, str(f))
+        assert (command, code) == (command, 2)
+        assert "not associative: (a*a)*b != a*(a*b)" in err
+
+
+def test_associative_nonsplit_file_exits_nonsplit(capsys, tmp_path):
+    # Q(i) is associative, so NonSplit stands
+    f = tmp_path / "qi.json"
+    f.write_text(json.dumps({"dim": 2, "basis": ["one", "i"],
+                             "table": [[0, 0, [[0, 1]]], [0, 1, [[1, 1]]],
+                                       [1, 0, [[1, 1]]], [1, 1, [[0, -1]]]],
+                             "unit": [1, 0]}))
+    for command in ("exponent", "classify", "decompose"):
+        code, out, err = run(capsys, command, str(f))
+        assert (command, code) == (command, 3)
+        assert "does not split" in err
+
+
+def test_decompose_with_a_19_digit_coefficient(capsys, tmp_path):
+    # Q x Q on u = p f1 + 2 f2, v = f2 for the prime p = 2^61 - 1:
+    # multiplication by u has eigenvalues 2 and p, and trial division of
+    # the constant term 2p, which the root theorem needs, takes minutes;
+    # the idempotents are f1 = (u - 2v)/p and f2 = v
+    p = 2 ** 61 - 1
+    f = tmp_path / "qxq.json"
+    f.write_text(json.dumps({"dim": 2, "basis": ["u", "v"],
+                             "table": [[0, 0, [[0, str(p)],
+                                               [1, str(4 - 2 * p)]]],
+                                       [0, 1, [[1, 2]]], [1, 0, [[1, 2]]],
+                                       [1, 1, [[1, 1]]]]}))
+    code, rep, err = run_json(capsys, "decompose", str(f), "--budget", "1")
+    assert code == 0
+    assert rep["results"]["block_dims"] == [1, 1]
+    assert rep["results"]["block_idempotents"] == [[f"1/{p}", f"-2/{p}"],
+                                                   ["0", "1"]]
+    code, rep, err = run_json(capsys, "exponent", str(f), "--budget", "1")
+    assert code == 0
+
+
 def test_validate_leibniz_failure(capsys, tmp_path):
     f = tmp_path / "nl.json"
     f.write_text(json.dumps({

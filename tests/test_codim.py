@@ -11,10 +11,18 @@ from diffpi import (DEFAULT_BUDGET, Algebra, AlgebraWithDerivations,
                     evaluate, evaluation_cost, is_identity, make_action,
                     operator_basis, parse_diff_poly)
 from diffpi.codim import monomial_row, poly_row
-from diffpi.linalg import (RowSpan, combine, coordinates, reduced_echelon,
-                           to_rows)
+from diffpi.linalg import RowSpan, combine, coordinates, to_rows
 
 F = Fraction
+
+
+def reduced_echelon(rows):
+    """The reduced echelon basis of the span of the rows, as
+    {pivot column: row}: unique for the span."""
+    span = RowSpan()
+    for row in rows:
+        span.insert(row)
+    return span.reduced_rows()
 
 
 def sweep_row(a, ob, m):

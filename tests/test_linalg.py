@@ -183,8 +183,8 @@ def test_solve_roundtrip(rows, data):
 @settings(max_examples=40, deadline=None)
 @given(int_matrix())
 def test_rowspan_size_matches_rank(rows):
-    # nullspace() is built on RowSpan too, but reads the reduced echelon
-    # form: its free columns must be what the pivots leave over
+    # nullspace() reduces the columns forward in a RowSpan of its own:
+    # its free columns must be what the pivots leave over
     assert rank(rows) == len(rows[0]) - len(nullspace(columns(rows)))
 
 
@@ -252,8 +252,16 @@ def gauss_jordan(rows, ncols):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(fraction, min_size=4, max_size=4), min_size=1,
-                max_size=6), st.data())
-def test_nullspace_and_solve_match_gauss_jordan(rows, data):
+                max_size=6), st.lists(fraction, min_size=6, max_size=6))
+@example(dense([[1, 0, 2, 1], [3, 0, -1, 1]]), dense([[1, 2, 0, 0, 0, 0]])[0])
+@example(dense([[1, 2, 1, 0], [4, -1, 4, 1], [2, 1, 2, 0]]),
+         dense([[2, 7, 3, 0, 0, 0]])[0])
+@example(dense([[0, 0, 0, 0], [0, 0, 0, 0]]), dense([[0, 1, 0, 0, 0, 0]])[0])
+@example(dense([[0, 0, 0, 0]]), [F(0)] * 6)
+@example(dense([[2, 1, 0, 3], [0, 1, 1, 1], [1, 0, -1, 1]]), [F(0)] * 6)
+def test_nullspace_and_solve_match_gauss_jordan(rows, rhs):
+    # the examples: a zero column, a repeated column, an all-zero system
+    # with b != 0 and with b = 0, and b = 0 on a system with a kernel
     ncols = len(rows[0])
     rref = gauss_jordan(rows, ncols)
     want = []
@@ -264,7 +272,7 @@ def test_nullspace_and_solve_match_gauss_jordan(rows, data):
             vec[c] = -row[free]
         want.append({j: v for j, v in enumerate(vec) if v})
     assert nullspace(columns(rows)) == want
-    b = [data.draw(fraction) for _ in rows]
+    b = rhs[:len(rows)]
     aug = gauss_jordan([r + [x] for r, x in zip(rows, b)], ncols + 1)
     if ncols in aug:
         assert solve(columns(rows), vector(b)) is None

@@ -30,6 +30,8 @@ PINNED = [
     ("30529574a131e87b0b88de0fb55bd86e3b445cc57de77debd118ca4921168388", 0),
     ("439af9ab559b08b957095fc3b7ba97b3237d9e05556070d9ca947cf9caf14638", 0),
     ("0069a9153a0163519a6b191888a8cfbe39b13cbeb318e79ef37a007099f8c2db", 0),
+    ("d78032e2f67d99f46e03d65cc6cf75aba3a4985cdb630269985e472f74d04bff", 0),
+    ("21759a5a71fb21576621b93008c7ff0fdd9e8c9507a8e1aedbaba93b8c07933e", 0),
 ]
 
 
