@@ -53,6 +53,20 @@ UT2EPS_TRI = {
                                                ["-5/6", "0", "1"]]}],
 }
 
+# the same algebra with eps halved, so eps/2 acts on its own label by
+# 1/2, and the generators of its ideal, which carry the same halves
+UT2EPS_TRI_HALF = {**UT2EPS_TRI,
+                   "derivations": [{"name": "eps",
+                                    "matrix": [["0", "0", "0"],
+                                               ["0", "0", "0"],
+                                               ["-5/12", "0", "1/2"]]}]}
+
+HALF_GENERATORS = """\
+[x1,x2]^eps - 1/2 [x1,x2]
+x1^eps*x2^eps
+x1^epseps - 1/2 x1^eps
+"""
+
 # Q x Q on u = A f1 + 2 f2, v = f2 for the 10-digit prime A = 10^9 + 7:
 # multiplication by u has the minimal polynomial (t - 2)(t - A)
 A = 10 ** 9 + 7
@@ -87,6 +101,8 @@ CALLS = (
     ["cocharacter", "Mk(2)", "--n", "4"],
     ["decompose", "ut2eps_tri.json"],
     ["decompose", "qxq.json"],
+    ["consequences", "ut2eps_half.json", "--gens", "half_gens.txt", "--n",
+     "4", "--check"],
 )
 
 
@@ -98,8 +114,11 @@ def digests() -> list:
         os.chdir(tmp)
         try:
             Path("gens.txt").write_text(GENERATORS, encoding="utf-8")
+            Path("half_gens.txt").write_text(HALF_GENERATORS,
+                                             encoding="utf-8")
             for name, data in (("skewed.json", SKEWED),
                                ("ut2eps_tri.json", UT2EPS_TRI),
+                               ("ut2eps_half.json", UT2EPS_TRI_HALF),
                                ("qxq.json", QXQ)):
                 Path(name).write_text(json.dumps(data), encoding="utf-8")
             for call in CALLS:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (DiffSyntaxError, IntegrityError, NotMultilinear,
@@ -156,19 +157,29 @@ class DiffPoly:
         return f"DiffPoly(n={self.n}, {len(self.terms)} terms)"
 
 
+def _monomial_text(m: DiffMonomial, ob: Optional[OperatorBasis]) -> str:
+    """x1^w*x2*...: labels as operator words, or no labels without ob."""
+    return "*".join(f"x{v + 1}" if ob is None or not lab
+                    else f"x{v + 1}^{ob.word_name(lab)}"
+                    for v, lab in zip(m.perm, m.labels))
+
+
+def _check_multilinear(p: DiffPoly, ob: Optional[OperatorBasis]) -> int:
+    n = p.n
+    for m in p.terms:
+        if len(m.perm) != n or sorted(m.perm) != list(range(n)):
+            raise NotMultilinear(
+                f"monomial {_monomial_text(m, ob)} is not multilinear in "
+                f"x1..x{n}: each variable must appear exactly once")
+    return n
+
+
 def validate_multilinear(p: DiffPoly) -> int:
     """Check every monomial uses exactly the variables 0..n-1 once each.
 
     Returns n. The zero polynomial passes with its declared n.
     """
-    n = p.n
-    for m in p.terms:
-        if len(m.perm) != n or sorted(m.perm) != list(range(n)):
-            seen = "*".join(f"x{v + 1}" for v in m.perm)
-            raise NotMultilinear(
-                f"monomial {seen} is not multilinear in x1..x{n}: each "
-                f"variable must appear exactly once")
-    return n
+    return _check_multilinear(p, None)
 
 
 def sn_act(g: Sequence[int], p: DiffPoly) -> DiffPoly:
@@ -369,7 +380,7 @@ def parse_diff_poly(src: str, ob: OperatorBasis) -> DiffPoly:
     if n <= 0:
         raise NotMultilinear("expression contains no variables")
     p.n = n
-    validate_multilinear(p)
+    _check_multilinear(p, ob)  # names a failing monomial with its words
     return p
 
 
@@ -380,13 +391,7 @@ def format_diff_poly(p: DiffPoly, ob: OperatorBasis) -> str:
     parts = []
     for m in p.monomials():
         c = p.terms[m]
-        factors = []
-        for var, lab in zip(m.perm, m.labels):
-            f = f"x{var + 1}"
-            if lab:
-                f += f"^{ob.word_name(lab)}"
-            factors.append(f)
-        body = "*".join(factors)
+        body = _monomial_text(m, ob)
         mag = abs(c)
         coeff = "" if mag == 1 else f"{mag} "
         if not parts:
@@ -461,6 +466,12 @@ def consequences(gens: Sequence[DiffPoly], n: int, ob: OperatorBasis) -> list[Di
     reduced echelon basis of the span, sorted by pivot in monomial
     order: it is unique for the span, so it depends only on the ideal,
     not on the order or the scaling of the generators.
+
+    The closure steps on integer rows, as codim's does: a swap permutes
+    the monomial columns, and generator g maps each column to its Leibniz
+    image times the common denominator D_g of g's action. A positive
+    multiple of a row reduces to the same primitive row, so the span is
+    the one the exact polynomials build, row for row.
     """
     for g in gens:
         validate_multilinear(g)
@@ -472,24 +483,35 @@ def consequences(gens: Sequence[DiffPoly], n: int, ob: OperatorBasis) -> list[Di
     monos = [DiffMonomial(perm, labels) for perm in permutations(range(n))
              for labels in product(range(ob.k), repeat=n)]
     index = {m: j for j, m in enumerate(monos)}
+    moves = [[index[DiffMonomial(tuple(sw[v] for v in m.perm), m.labels)]
+              for m in monos] for sw in adjacent_swaps(n)]
+    images = []  # images[g][j]: (column, int) pairs of D_g g(monos[j])
+    for g, act in enumerate(ob.gen_action):
+        den = lcm(*(c.denominator for img in act for c in img.values()))
+        images.append([[(index[key], int(c * den)) for key, c in
+                        _derive_terms(g, {m: ONE}, ob).items()]
+                       for m in monos])
     span = RowSpan()
-    queue: list[DiffPoly] = []
+    queue: list[dict] = []
 
-    def push(p: DiffPoly):
-        if not p.is_zero() and span.insert(
-                {index[m]: c for m, c in p.terms.items()}):
-            queue.append(p)
+    def push(row: dict):
+        if row and span.insert(row):
+            queue.append(row)
 
     for g in gens:
         for inst in _substitution_instances(g, n, ob):
-            push(inst)
-    swaps = adjacent_swaps(n)
+            den = lcm(*(c.denominator for c in inst.terms.values()))
+            push({index[m]: int(c * den) for m, c in inst.terms.items()})
     while queue:
-        p = queue.pop()
-        for g in range(len(ob.gen_names)):
-            push(derive_poly(g, p, ob))
-        for sw in swaps:
-            push(sn_act(sw, p))
+        row = queue.pop()
+        for img in images:
+            out: dict = {}
+            for j, x in row.items():
+                for i, c in img[j]:
+                    out[i] = out.get(i, 0) + x * c
+            push({i: x for i, x in out.items() if x})
+        for move in moves:
+            push({move[j]: x for j, x in row.items()})
     rref = span.reduced_rows()
     return [DiffPoly(n, {monos[j]: c for j, c in rref[r].items()})
             for r in sorted(rref)]

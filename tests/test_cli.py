@@ -337,6 +337,18 @@ def test_consequences_incomplete_generators_warn(capsys, tmp_path):
     assert any("do not span" in w for w in rep["warnings"])
 
 
+def test_not_multilinear_generator_names_its_words(capsys, tmp_path):
+    g = tmp_path / "gens.txt"
+    for src, want in (("x1^eps*x3", "x1^eps*x3 is not multilinear in x1..x3"),
+                      ("x1^eps*x1^eps",
+                       "x1^eps*x1^eps is not multilinear in x1..x1")):
+        g.write_text(src + "\n")
+        code, out, err = run(capsys, "consequences", "UT2eps", "--gens",
+                             str(g), "--n", "3")
+        assert code == 1 and out == ""
+        assert f"{g}:1: monomial {want}" in err
+
+
 def test_decompose_report(capsys):
     code, rep, err = run_json(capsys, "decompose", "UT2eps")
     assert code == 0

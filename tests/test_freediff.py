@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import PARSER_CORPUS, corpus, random_split_algebra
-from diffpi import (Derivation, DiffPoly, DiffSyntaxError, NotMultilinear,
-                    UnknownOperator, builtin, codim, codim_via_ideal,
-                    consequences, derive_poly, format_diff_poly,
-                    make_action, operator_basis, parse_diff_poly, sn_act,
+from diffpi import (AlgebraWithDerivations, Derivation, DiffPoly,
+                    DiffSyntaxError, NotMultilinear, UnknownOperator,
+                    builtin, codim, codim_via_ideal, consequences,
+                    derive_poly, format_diff_poly, make_action,
+                    operator_basis, parse_diff_poly, sn_act,
                     validate_multilinear)
 from diffpi import freediff
 from diffpi.cli import main
@@ -353,15 +354,83 @@ def test_consequences_rows_reduced_ut2eps(ut2eps_gens, ut2eps_ob, n):
 
 
 def test_consequences_rows_reduced_three_labels():
+    # two derivations whose actions on the labels have integer
+    # coefficients above 1
     awd = corpus(6, seed=7)[5]
     ob = operator_basis(awd.algebra, awd.action)
     assert ob.k == 3
+    assert max(abs(c) for act in ob.gen_action for img in act
+               for c in img.values()) > 1
     gens = [parse_diff_poly(src, ob)
             for src in ("x1^d0*x2 - x2*x1^d1", "[x1,x2]*x3^d1")]
-    for n in (2, 3):
+    for n, rows in ((2, 14), (3, 156)):
         basis = consequences(gens, n, ob)
-        assert 0 < len(basis) < factorial(n) * ob.k ** n
+        assert len(basis) == rows < factorial(n) * ob.k ** n
         _assert_reduced_by_leading_monomial(basis)
+        _assert_matches_all_orders(gens, n, ob)
+
+
+# UT2eps with its derivation halved: eps/2 after eps/2 is half of eps/2
+# (eps is idempotent), so gen_action is {1: 1/2} with denominator 2;
+# the generators of its ideal carry the same halves
+HALF_EPS_GENERATORS = (
+    "[x1,x2]^eps - 1/2 [x1,x2]",
+    "x1^eps*x2^eps",
+    "x1^epseps - 1/2 x1^eps",
+)
+
+
+@pytest.fixture(scope="module")
+def half_eps(ut2eps):
+    eps = ut2eps.action.generators[0]
+    half = Derivation(eps.name, tuple(tuple(x / 2 for x in row)
+                                      for row in eps.matrix))
+    awd = AlgebraWithDerivations(ut2eps.algebra,
+                                 make_action(ut2eps.algebra, [half]))
+    ob = operator_basis(awd.algebra, awd.action)
+    assert ob.gen_action == (({1: F(1)}, {1: F(1, 2)}),)
+    return awd, ob, [parse_diff_poly(src, ob) for src in HALF_EPS_GENERATORS]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_consequences_half_eps_match_all_orders_route(half_eps, n):
+    awd, ob, gens = half_eps
+    _assert_matches_all_orders(gens, n, ob)
+    assert (codim_via_ideal(gens, ob, n)
+            == codim(awd.algebra, ob, n).c_n_L == {1: 2, 2: 5, 3: 13}[n])
+
+
+def _standard(d: int) -> str:
+    """The standard polynomial s_d, sum of sgn(s) x_s(1)...x_s(d)."""
+    terms = []
+    for perm in permutations(range(1, d + 1)):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        terms.append(("-" if inversions % 2 else "+")
+                     + " " + "*".join(f"x{v}" for v in perm))
+    return " ".join(terms).lstrip("+ ")
+
+
+# published bases of the ordinary identities, and c_n at each degree
+PUBLISHED_BASES = [
+    # M2: s4 and the Hall identity [[x1,x2] o [x3,x4], x5], o the Jordan
+    # product (Razmyslov 1973; Drensky 1981)
+    ("Mk(2)", (_standard(4), "[[x1,x2]*[x3,x4] + [x3,x4]*[x1,x2], x5]"),
+     {4: 23, 5: 91}),
+    # UT2: [x1,x2][x3,x4] (Maltsev 1971)
+    ("UTk(2)", ("[x1,x2]*[x3,x4]",), {4: 18, 5: 50, 6: 130}),
+]
+
+
+@pytest.mark.parametrize("name, sources, quotients", PUBLISHED_BASES)
+def test_published_ordinary_bases(name, sources, quotients):
+    awd = builtin(name)
+    ob = operator_basis(awd.algebra, awd.action)
+    assert ob.k == 1
+    gens = [parse_diff_poly(src, ob) for src in sources]
+    for n, want in quotients.items():
+        assert codim_via_ideal(gens, ob, n) == want
+        ordinary = codim(awd.algebra, ob, n, ordinary_only=True)
+        assert ordinary.c_n_ordinary == want
 
 
 def test_format_zero_poly(ut2eps_ob):

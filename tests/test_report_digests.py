@@ -32,6 +32,7 @@ PINNED = [
     ("0069a9153a0163519a6b191888a8cfbe39b13cbeb318e79ef37a007099f8c2db", 0),
     ("d78032e2f67d99f46e03d65cc6cf75aba3a4985cdb630269985e472f74d04bff", 0),
     ("21759a5a71fb21576621b93008c7ff0fdd9e8c9507a8e1aedbaba93b8c07933e", 0),
+    ("275f1a61a20722c2dec91f1c527e5a4cc677b5d7efbee7790d2b7f2d9ab535be", 0),
 ]
 
 
