@@ -103,6 +103,9 @@ CALLS = (
     ["decompose", "qxq.json"],
     ["consequences", "ut2eps_half.json", "--gens", "half_gens.txt", "--n",
      "4", "--check"],
+    # n = 5 costs 49,152,000,000 units and n = 4 245,760,000
+    ["codim", "M2sl2", "--max-n", "5", "--budget", "50000000000"],
+    ["cocharacter", "M2sl2", "--n", "4", "--budget", "300000000"],
 )
 
 

@@ -20,7 +20,7 @@ from math import factorial
 from typing import NamedTuple, Optional
 
 from .algebra import Algebra
-from .codim import codim, permuted_row
+from .codim import block_weight, codim, permuted_row
 from .errors import IntegrityError, NonIntegerMultiplicity
 from .freediff import OperatorBasis
 from .linalg import ZERO, RowSpan
@@ -111,7 +111,20 @@ def representative(mu: Partition, n: int) -> tuple:
     return tuple(perm)
 
 
-def module_trace(dim: int, n: int, span: RowSpan) -> dict:
+def cycle_heads(g: tuple) -> list:
+    """The least variable of each cycle of the permutation g."""
+    seen, heads = set(), []
+    for v in range(len(g)):
+        if v not in seen:
+            heads.append(v)
+            while v not in seen:
+                seen.add(v)
+                v = g[v]
+    return heads
+
+
+def module_trace(dim: int, n: int, span: RowSpan,
+                 weights: Optional[tuple] = None) -> dict:
     """Trace of each cycle type acting on the multilinear quotient.
 
     span holds the evaluation rows of the quotient, as codim() returns
@@ -120,17 +133,26 @@ def module_trace(dim: int, n: int, span: RowSpan) -> dict:
     relabelled row g.p_c, which one forward reduction of g.p_c gives.
     Exact and basis independent; a relabelled row outside V means the
     span is not an S_n-module.
+
+    With the weights of an isotypic route (codim's CodimResult.weights),
+    V is the image on the inputs T, every row lies in one block pattern,
+    and the pattern's copies contribute too: each multiplier counts
+    prod over the cycles of g of the d_j of the cycle's input digit.
     """
     out = {}
     for mu in partitions(n):
         g = representative(mu, n)
+        heads = cycle_heads(g)
         out[mu] = ZERO
         for c, row in span.pivots.items():
             used: dict = {}
             if span._reduce(permuted_row(row, g, n, dim), used):
                 raise IntegrityError("permuted row escaped the quotient "
                                      "span; evaluation is not equivariant")
-            out[mu] += Fraction(*used.get(c, (0, 1)))
+            x = Fraction(*used.get(c, (0, 1)))
+            if weights is not None:
+                x *= block_weight(c, heads, n, dim, weights)
+            out[mu] += x
     return out
 
 
@@ -195,7 +217,7 @@ def cocharacter(a: Algebra, ob: OperatorBasis, n: int,
                 budget: Optional[int] = None) -> CocharacterTable:
     """Cocharacter decomposition at degree n, with the ordinary one."""
     full = codim(a, ob, n, budget=budget)
-    traces = module_trace(a.dim, n, full.quotient)
+    traces = module_trace(a.dim, n, full.quotient, full.weights)
     traces_ord = (traces if full.ordinary is full.quotient
                   else module_trace(a.dim, n, full.ordinary))
     rows = multiplicity_rows(n, traces, traces_ord)

@@ -34,6 +34,16 @@ codim() is the one evaluation pass per degree: it returns both closures
 as RowSpans, one span when there is one label, and the module traces of
 characters.py read those spans by moving the columns of their echelon
 rows and reducing each moved row once, never by evaluating again.
+
+When the operator algebra E is split semisimple and not commutative,
+the differential closure runs the same _closure_rows on the labels and
+inputs of its isotypic route (freediff.isotypic_route): sum of d_j
+labels on the sum of m_j input coordinates instead of k labels on all
+of A. Its span is the image on those inputs, every row in one block
+pattern, and c_n^L weighs each pivot column by the product of the d_j
+of its input digits (block_weight); CodimResult.weights carries them to
+module_trace. The ordinary closure, and the budget charge, stay as they
+are.
 """
 
 from __future__ import annotations
@@ -129,11 +139,26 @@ def poly_row(a: Algebra, ob: OperatorBasis, p: DiffPoly) -> dict:
 
 @dataclass(frozen=True)
 class CodimResult:
+    """quotient spans the evaluation image and ordinary the image of the
+    identity label alone. With weights (IsotypicRoute.weights), quotient
+    spans the image on the isotypic route's inputs instead, and c_n_L
+    weighs its pivot columns by them (block_weight)."""
     n: int
     c_n_L: int
     c_n_ordinary: int
-    quotient: RowSpan   # span of the evaluation rows, the image
-    ordinary: RowSpan   # the same for identity labels only
+    quotient: RowSpan
+    ordinary: RowSpan
+    weights: Optional[tuple] = None
+
+
+def block_weight(col: int, heads: Sequence[int], n: int, dim: int,
+                 weights: Sequence[int]) -> int:
+    """The product of weights[b] over the input digits b of column col
+    at the variables in heads, at degree n."""
+    w = 1
+    for v in heads:
+        w *= weights[col // dim ** (n - v) % dim]
+    return w
 
 
 def _integer_images(a: Algebra, ops: Sequence) -> tuple:
@@ -193,9 +218,17 @@ def codim(a: Algebra, ob: OperatorBasis, n: int,
     ops = ob.ops[:1] if ordinary_only else ob.ops
     ordinary = _closure_rows(a, ops[:1], n)
     # with one label (ordinary_only, or a trivial action) they coincide
-    quotient = ordinary if len(ops) == 1 else _closure_rows(a, ops, n)
-    return CodimResult(n=n, c_n_L=len(quotient), c_n_ordinary=len(ordinary),
-                       quotient=quotient, ordinary=ordinary)
+    if len(ops) == 1:
+        quotient, weights = ordinary, None
+    elif ob.isotypic is None:
+        quotient, weights = _closure_rows(a, ops, n), None
+    else:
+        quotient = _closure_rows(a, ob.isotypic.ops, n)
+        weights = ob.isotypic.weights
+    c_n_L = len(quotient) if weights is None else sum(
+        block_weight(c, range(n), n, a.dim, weights) for c in quotient.pivots)
+    return CodimResult(n=n, c_n_L=c_n_L, c_n_ordinary=len(ordinary),
+                       quotient=quotient, ordinary=ordinary, weights=weights)
 
 
 def evaluate(p: DiffPoly, args: Sequence, a: Algebra,

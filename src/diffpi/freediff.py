@@ -14,18 +14,22 @@ on the algebra are the same label here.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations, product
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import (DiffSyntaxError, IntegrityError, NotMultilinear,
-                     UnknownOperator)
+from .algebra import Algebra, _minpoly, _rational_roots, wedderburn
+from .errors import (DiffSyntaxError, IntegrityError, NonSplit,
+                     NotMultilinear, UnknownOperator)
 from .linalg import (ONE, ZERO, RowSpan, combine, compose, coordinates,
                      stack)
 
 
-class OperatorBasis(NamedTuple):
+@dataclass(frozen=True)
+class OperatorBasis:
     """Finite basis of the operator algebra E generated by the action.
 
     Each of ops is a linear map held as the tuple of its column images
@@ -47,6 +51,12 @@ class OperatorBasis(NamedTuple):
 
     def word_name(self, label: int) -> str:
         return "".join(self.gen_names[g] for g in self.words[label])
+
+    @cached_property
+    def isotypic(self) -> Optional["IsotypicRoute"]:
+        """The isotypic route of this basis, built on first use, or None
+        where codim takes the general route."""
+        return isotypic_route(self)
 
 
 def operator_basis(a, act) -> OperatorBasis:
@@ -86,6 +96,149 @@ def operator_basis(a, act) -> OperatorBasis:
     return OperatorBasis(gen_names=tuple(d.name for d in act.generators),
                          ops=tuple(ops), words=tuple(words),
                          gen_action=gen_action)
+
+
+class IsotypicRoute(NamedTuple):
+    """The labels and inputs of the evaluation when E splits.
+
+    T is the sum over the blocks j of E of T_j = p_j A, p_j a primitive
+    idempotent of block j, on the concatenated bases of the T_j.
+    ops[l][b] is label l applied to basis vector b of T: the labels of
+    block j are a basis of the maps phi restricted to T_j, phi in E,
+    and vanish on the other T_i. weights[b] is d_j, for the block j
+    whose T_j holds basis vector b.
+    """
+    ops: tuple
+    weights: tuple
+
+
+def _generators_commute(ob: OperatorBasis) -> bool:
+    """Whether the generating derivations commute, read off gen_action:
+    generator g after generator h is gen_action[g] applied to the
+    coordinates gen_action[h][0] of h."""
+    gens = [act[0] for act in ob.gen_action]
+    return all(combine(gens[h], ob.gen_action[g])
+               == combine(gens[g], ob.gen_action[h])
+               for g in range(len(gens)) for h in range(g))
+
+
+def _operator_algebra(ob: OperatorBasis) -> Algebra:
+    """E as an Algebra on the basis ops, e_i e_j = ops[i] after ops[j].
+
+    ops[i] is generator g after ops[p] for its word (g,) + words[p], so
+    ops[i] after ops[j] is gen_action[g] applied to the coordinates of
+    ops[p] after ops[j]: the table is read off gen_action row by row,
+    and nothing is composed on A."""
+    index = {w: i for i, w in enumerate(ob.words)}
+    rows = [[{j: ONE} for j in range(ob.k)]]
+    for w in ob.words[1:]:
+        rows.append([combine(c, ob.gen_action[w[0]])
+                     for c in rows[index[w[1:]]]])
+    table = {(i, j): c for i, row in enumerate(rows)
+             for j, c in enumerate(row) if c}
+    return Algebra(dim=ob.k, basis_labels=tuple(map(ob.word_name,
+                                                    range(ob.k))),
+                   table=table)
+
+
+def _independent(vecs) -> list:
+    span = RowSpan()
+    return [v for v in vecs if span.insert(v)]
+
+
+def _primitive_idempotent(ob: OperatorBasis, e: Algebra, unit: dict,
+                          basis: Sequence[dict], d: int,
+                          on_a) -> Optional[tuple]:
+    """A primitive idempotent of the block of E with the given unit and
+    basis, isomorphic to M_d(Q), as a map on A; None if none is found.
+
+    d = 1: the unit. If the unit has rank d on A, its image is the
+    simple module and the block is all of its endomorphisms, so a
+    rank-one idempotent on it lies in E, which is checked. Otherwise
+    a basis vector x whose minimal polynomial has d distinct rational
+    roots is diagonalizable with one-dimensional eigenspaces, and the
+    spectral projection prod_(s != r) (x - s)/(r - s) is rank one.
+    """
+    eps = on_a(unit)
+    if d == 1:
+        return eps
+    image = _independent(eps)
+    if len(image) == d:
+        v = image[0]
+        c = min(v)
+        p = tuple({i: w[c] / v[c] * x for i, x in v.items()} if c in w
+                  else {} for w in eps)
+        dim = len(p)
+        flat = coordinates([stack(enumerate(op), dim) for op in ob.ops])
+        if flat(stack(enumerate(p), dim)) is None:
+            raise IntegrityError("a rank-one map on a simple summand of A "
+                                 "is not in the operator algebra")
+        return p
+    in_block = coordinates(list(basis))
+    for x in basis:
+        mul = tuple(in_block(e.product(x, y)) for y in basis)
+        minrel = _minpoly(mul)
+        roots = _rational_roots(minrel)
+        if len(roots) == len(minrel) == d:
+            r, p = roots[0], unit
+            for s in roots[1:]:
+                p = e.product(p, combine({0: 1 / (r - s), 1: -s / (r - s)},
+                                         (x, unit)))
+            return on_a(p)
+    return None
+
+
+def isotypic_route(ob: OperatorBasis) -> Optional[IsotypicRoute]:
+    """The labels and inputs that count c_n^L block by block, or None.
+
+    E is semisimple when L is (Weyl), and when it also splits,
+    E = sum of M_(d_j)(Q) and A = sum of V_j (x) M_j with dim V_j = d_j
+    and dim M_j = m_j. The evaluation image W is a right module over
+    E^(x n), so it splits by the block pattern J of its inputs, and the
+    piece of pattern J is d_J = prod d_(j_i) copies of W restricted to
+    T_J = T_(j_1) (x) ... (x) T_(j_n). That restriction is the image of
+    the labels of the route on T^(x n), in which every row lies in one
+    pattern. So c_n^L sums d_J over its pivot columns, and the trace of
+    g multiplies each diagonal entry by the d_j of each cycle of g.
+
+    None when the generators commute (then E is commutative, every d_j
+    is 1 and nothing is gained, so E is never built), when E has a
+    radical or does not split, or when no primitive idempotent is found.
+    """
+    if _generators_commute(ob):
+        return None
+    e = _operator_algebra(ob)
+    try:
+        wd = wedderburn(e)
+    except NonSplit:
+        return None
+    if wd.radical_basis:
+        return None
+    dim = len(ob.ops[0])
+    columns = [[op[b] for op in ob.ops] for b in range(dim)]
+
+    def on_a(x: dict) -> tuple:  # the map on A with E-coordinates x
+        return tuple(combine(x, col) for col in columns)
+
+    weights, labels = [], []  # (first input of the block, label images)
+    for unit, basis, d in zip(wd.block_idempotents, wd.block_bases,
+                              wd.block_dims):
+        p = _primitive_idempotent(ob, e, unit, basis, d, on_a)
+        if p is None:
+            return None
+        t = _independent(p)
+        # the maps phi restricted to T_j: E p_j, which has dimension d
+        span = RowSpan()
+        mine = [r for r in ([combine(v, op) for v in t] for op in ob.ops)
+                if span.insert(stack(enumerate(r), dim))]
+        if len(mine) != d:
+            raise IntegrityError(f"a block of size {d} of the operator "
+                                 f"algebra gives {len(mine)} labels")
+        labels += [(len(weights), r) for r in mine]
+        weights += [d] * len(t)
+    ops = tuple(tuple(r[b - start] if start <= b < start + len(r) else {}
+                      for b in range(len(weights))) for start, r in labels)
+    return IsotypicRoute(ops=ops, weights=tuple(weights))
 
 
 class DiffMonomial(NamedTuple):

@@ -1,17 +1,19 @@
+import importlib
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from corpus import corpus, random_split_algebra
 from diffpi import (DiffMonomial, builtin, cocharacter, codim,
                     cycle_type_class_size, hook_dimension, irr_char,
                     module_trace, operator_basis, partitions,
                     support_violations)
 from diffpi.characters import multiplicity_rows, representative
-from diffpi.codim import permuted_row
+from diffpi.codim import _closure_rows, permuted_row
 from diffpi.errors import IntegrityError
 from diffpi.linalg import RowSpan, coordinates
-from test_codim import _rebased, greedy_quotient, sweep_row
+from test_codim import _rebased, greedy_quotient, sl2_plane, sweep_row
 
 F = Fraction
 
@@ -142,7 +144,8 @@ def test_module_trace_matches_expression_in_quotient_rows(awd, max_n):
     a = awd.algebra
     ob = operator_basis(a, awd.action)
     for n in range(1, max_n + 1):
-        span = codim(a, ob, n).quotient
+        # the general route's span is the whole image
+        span = _closure_rows(a, ob.ops, n)
         rows = list(span.pivots.values())
         coords = coordinates(rows)
         assert coords is not None
@@ -156,6 +159,37 @@ def test_module_trace_matches_expression_in_quotient_rows(awd, max_n):
                 permuted_row(b, g, n, a.dim).get(c, 0)
                 for c, b in rref.items())
         assert module_trace(a.dim, n, span) == want
+        r = codim(a, ob, n)
+        assert module_trace(a.dim, n, r.quotient, r.weights) == want
+
+
+def _route_cases():
+    # (input, largest degree, whether the isotypic route applies)
+    yield pytest.param(builtin("M2sl2"), 4, True, id="M2sl2")
+    yield pytest.param(_rebased("M2sl2-diag"), 3, True, id="M2sl2-diag")
+    for i, awd in enumerate(corpus(6, seed=7)):
+        # the general route takes about 3 s at n = 3 on members 0 and 2
+        yield pytest.param(awd, 2 if i in (0, 2) else 3, i in (0, 2),
+                           id=f"corpus7.{i}")
+    yield pytest.param(random_split_algebra(7), 3, True, id="random7")
+    yield pytest.param(sl2_plane(3), 3, True, id="sl2-plane-x3")
+
+
+@pytest.mark.parametrize("awd,max_n,routed", list(_route_cases()))
+def test_isotypic_route_matches_general_route(awd, max_n, routed,
+                                              monkeypatch):
+    a = awd.algebra
+    ob = operator_basis(a, awd.action)
+    assert (ob.isotypic is not None) == routed
+    got = [cocharacter(a, ob, n, budget=10 ** 9) for n in range(1, max_n + 1)]
+    monkeypatch.setattr(importlib.import_module("diffpi.freediff"),
+                        "isotypic_route", lambda ob: None)
+    general = operator_basis(a, awd.action)
+    want = [cocharacter(a, general, n, budget=10 ** 9)
+            for n in range(1, max_n + 1)]
+    assert general.isotypic is None
+    # rows, module_character, c_n_L and c_n, degree by degree
+    assert got == want
 
 
 def test_module_trace_rejects_rows_that_are_not_a_module(ut2eps, ut2eps_ob):

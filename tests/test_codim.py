@@ -4,13 +4,15 @@ from itertools import permutations, product
 
 import pytest
 
-from corpus import corpus
+from corpus import cells_algebra, corpus
 from diffpi import (DEFAULT_BUDGET, Algebra, AlgebraWithDerivations,
                     BudgetExceeded, Derivation, DiffMonomial, DiffPoly,
-                    builtin, codim, codim_via_ideal, consequences_cost,
-                    evaluate, evaluation_cost, is_identity, make_action,
-                    operator_basis, parse_diff_poly)
-from diffpi.codim import monomial_row, poly_row
+                    builtin, cocharacter, codim, codim_via_ideal,
+                    consequences_cost, direct_sum, evaluate,
+                    evaluation_cost, inner_derivation, is_identity,
+                    make_action, operator_basis, parse_diff_poly,
+                    wedderburn)
+from diffpi.codim import _closure_rows, block_weight, monomial_row, poly_row
 from diffpi.linalg import RowSpan, combine, coordinates, to_rows
 
 F = Fraction
@@ -202,7 +204,12 @@ def test_codim_matches_greedy_route(awd, n):
     ref = [row for _, row in greedy_quotient(a, ob, n)]
     ref_ord = [row for _, row in greedy_quotient(a, ob, n, labels=(0,))]
     assert (r.c_n_L, r.c_n_ordinary) == (len(ref), len(ref_ord))
-    assert r.quotient.reduced_rows() == reduced_echelon(ref)
+    # the general route spans the whole image; the isotypic route, where
+    # codim takes it, spans the image on its own inputs only
+    full = reduced_echelon(ref)
+    assert _closure_rows(a, ob.ops, n).reduced_rows() == full
+    if r.weights is None:
+        assert r.quotient.reduced_rows() == full
     assert r.ordinary.reduced_rows() == reduced_echelon(ref_ord)
 
 
@@ -376,3 +383,107 @@ def test_direct_sum_same_codim(ut2eps, ut2eps_ob):
     ob2 = operator_basis(dd.algebra, dd.action)
     for n in (1, 2):
         assert codim(dd.algebra, ob2, n).c_n_L == UT2EPS_C_L[n]
+
+
+def sl2_plane(copies=1):
+    """F[x,y]/(x,y)^2 on 1, x, y with sl2 acting by e = x d/dy,
+    f = y d/dx and h = x d/dx - y d/dy, as a direct sum of copies of it:
+    the operator algebra is Q x M_2(Q), and A holds its simple modules Q
+    and V with multiplicity copies each. Every degree has c_n^L = 4n + 1
+    and c_n = 1."""
+    one, z = F(1), F(0)
+    table = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one},
+             (0, 2): {2: one}, (2, 0): {2: one}}
+    a = Algebra(dim=3, basis_labels=("1", "x", "y"), table=table,
+                unit=(one, z, z))
+    gens = [Derivation("e", ((z, z, z), (z, z, one), (z, z, z))),
+            Derivation("f", ((z, z, z), (z, z, z), (z, one, z))),
+            Derivation("h", ((z, z, z), (z, one, z), (z, z, -one)))]
+    plane = AlgebraWithDerivations(a, make_action(a, gens))
+    return direct_sum(*[plane] * copies)
+
+
+def _count_operator_algebras(monkeypatch):
+    """The operator bases whose operator algebra E gets built, in order."""
+    module = importlib.import_module("diffpi.freediff")
+    built, build = [], module._operator_algebra
+
+    def counted(ob):
+        built.append(ob)
+        return build(ob)
+
+    monkeypatch.setattr(module, "_operator_algebra", counted)
+    return built
+
+
+@pytest.mark.parametrize("name", ["UT2eps", "Mk(2)", "Fn(1)"])
+def test_commuting_generators_never_build_the_operator_algebra(name,
+                                                                monkeypatch):
+    # one generator, or k = 1: E is commutative, so the route gains nothing
+    built = _count_operator_algebras(monkeypatch)
+    awd = builtin(name)
+    a = awd.algebra
+    ob = operator_basis(a, awd.action)
+    for n in (1, 2, 3):
+        assert codim(a, ob, n).weights is None
+    cocharacter(a, ob, 3)
+    assert ob.isotypic is None
+    assert built == []
+
+
+def test_operator_algebra_with_radical_takes_the_general_route(monkeypatch):
+    # UT2 on e00, e01, e11 with ad(e00) and ad(e01): the generators do
+    # not commute, and ad(e01) lies in the radical of E
+    a = cells_algebra([(0, 0), (1, 1), (0, 1)])
+    awd = AlgebraWithDerivations(a, make_action(a, [
+        inner_derivation(a, {0: F(1)}, name="d0"),
+        inner_derivation(a, {1: F(1)}, name="d1")]))
+    built = _count_operator_algebras(monkeypatch)
+    ob = operator_basis(a, awd.action)
+    assert ob.isotypic is None
+    assert built == [ob]
+    assert wedderburn(importlib.import_module(
+        "diffpi.freediff")._operator_algebra(ob)).radical_basis
+    for n in (1, 2, 3):
+        r = codim(a, ob, n)
+        ref = [row for _, row in greedy_quotient(a, ob, n)]
+        ref_ord = [row for _, row in greedy_quotient(a, ob, n, labels=(0,))]
+        assert r.weights is None
+        assert (r.c_n_L, r.c_n_ordinary) == (len(ref), len(ref_ord))
+        assert r.quotient.reduced_rows() == reduced_echelon(ref)
+
+
+def test_isotypic_route_is_built_once_per_operator_basis(monkeypatch):
+    built = _count_operator_algebras(monkeypatch)
+    awd = builtin("M2sl2")
+    a = awd.algebra
+    obs = [operator_basis(a, awd.action) for _ in range(2)]
+    for ob in obs:
+        for n in (1, 2, 3):
+            assert codim(a, ob, n).weights == (1, 3)
+        cocharacter(a, ob, 2)
+    assert len(built) == 2 and all(x is y for x, y in zip(built, obs))
+
+
+@pytest.mark.parametrize("copies,weights", [(1, (1, 2)),
+                                            (3, (1, 1, 1, 2, 2, 2))])
+def test_isotypic_route_with_multiplicities(copies, weights):
+    # with three copies the block M_2(Q) has m = 3, so its primitive
+    # idempotent comes from an element with two rational eigenvalues
+    awd = sl2_plane(copies)
+    ob = operator_basis(awd.algebra, awd.action)
+    assert ob.isotypic.weights == weights
+    for n in (1, 2, 3, 4):
+        r = codim(awd.algebra, ob, n, budget=10 ** 9)
+        assert (r.c_n_L, r.c_n_ordinary) == (4 * n + 1, 1)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_m2sl2_closed_form_on_isotypic_route(m2sl2, m2sl2_ob, n):
+    # c_n^L(M2sl2) = 4^(n+1) - 3(n+1); the general route matched it for
+    # n <= 7, but takes 9 s at n = 5
+    route = m2sl2_ob.isotypic
+    span = _closure_rows(m2sl2.algebra, route.ops, n)
+    c_n_L = sum(block_weight(c, range(n), n, m2sl2.algebra.dim,
+                             route.weights) for c in span.pivots)
+    assert c_n_L == {5: 4078, 6: 16363}[n] == 4 ** (n + 1) - 3 * (n + 1)

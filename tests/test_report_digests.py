@@ -33,6 +33,8 @@ PINNED = [
     ("d78032e2f67d99f46e03d65cc6cf75aba3a4985cdb630269985e472f74d04bff", 0),
     ("21759a5a71fb21576621b93008c7ff0fdd9e8c9507a8e1aedbaba93b8c07933e", 0),
     ("275f1a61a20722c2dec91f1c527e5a4cc677b5d7efbee7790d2b7f2d9ab535be", 0),
+    ("6128103f7b0e91ef7e2de94267fea52ad1805a9f3ef181d3927569d6d52cd70a", 0),
+    ("e50fc4d9484f4cd2feb7a51510b97b994ef15ea332ccb563c2a80f07f69a1def", 0),
 ]
 
 
