@@ -77,6 +77,45 @@ QXQ = {
               [1, 0, [[1, "2"]]], [1, 1, [[1, "1"]]]],
 }
 
+# F[x,y]/(x,y)^2 on 1, x, y, three copies summed, with sl2 acting on
+# each by e = x d/dy, f = y d/dx and h = x d/dx - y d/dy: the operator
+# algebra is Q x M_2(Q), and its block M_2(Q) meets A in three copies
+# of its simple module
+PLANE_CELLS = {"e": {(1, 2): "1"}, "f": {(2, 1): "1"},
+               "h": {(1, 1): "1", (2, 2): "-1"}}
+SL2_PLANES = {
+    "dim": 9,
+    "basis": [f"{c}:{s}" for c in (1, 2, 3) for s in ("1", "x", "y")],
+    "table": [[o + i, o + j, [[o + k, "1"]]] for o in (0, 3, 6)
+              for i, j, k in ((0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 1),
+                              (2, 0, 2))],
+    "unit": ["1", "0", "0"] * 3,
+    "derivations": [{"name": name,
+                     "matrix": [[cells.get((i % 3, j % 3), "0")
+                                 if i // 3 == j // 3 else "0"
+                                 for j in range(9)] for i in range(9)]}
+                    for name, cells in PLANE_CELLS.items()],
+}
+
+# M_2(Q) on its matrix units with two inner derivations: the operator
+# algebra is Q x M_3(Q), each block meets A in one simple module, and no
+# basis vector of M_3(Q) has three distinct rational eigenvalues
+M2_INNER = {
+    "dim": 4,
+    "basis": ["e00", "e01", "e10", "e11"],
+    "table": [[0, 0, [[0, "1"]]], [0, 1, [[1, "1"]]], [1, 2, [[0, "1"]]],
+              [1, 3, [[1, "1"]]], [2, 0, [[2, "1"]]], [2, 1, [[3, "1"]]],
+              [3, 2, [[2, "1"]]], [3, 3, [[3, "1"]]]],
+    "unit": ["1", "0", "0", "1"],
+    "derivations": [
+        {"name": "d0", "matrix": [["0", "2", "1", "0"], ["-1", "1", "0", "1"],
+                                  ["-2", "0", "-1", "2"],
+                                  ["0", "-2", "-1", "0"]]},
+        {"name": "d1", "matrix": [["0", "0", "-2", "0"], ["2", "0", "0", "-2"],
+                                  ["0", "0", "0", "0"], ["0", "0", "2", "0"]]},
+    ],
+}
+
 CALLS = (
     ["codim", "UT2eps", "--max-n", "6"],
     ["codim", "UT2eps", "--max-n", "6", "--ordinary"],
@@ -106,6 +145,8 @@ CALLS = (
     # n = 5 costs 49,152,000,000 units and n = 4 245,760,000
     ["codim", "M2sl2", "--max-n", "5", "--budget", "50000000000"],
     ["cocharacter", "M2sl2", "--n", "4", "--budget", "300000000"],
+    ["cocharacter", "sl2_planes.json", "--n", "3"],
+    ["cocharacter", "m2_inner.json", "--n", "3"],
 )
 
 
@@ -122,7 +163,9 @@ def digests() -> list:
             for name, data in (("skewed.json", SKEWED),
                                ("ut2eps_tri.json", UT2EPS_TRI),
                                ("ut2eps_half.json", UT2EPS_TRI_HALF),
-                               ("qxq.json", QXQ)):
+                               ("qxq.json", QXQ),
+                               ("sl2_planes.json", SL2_PLANES),
+                               ("m2_inner.json", M2_INNER)):
                 Path(name).write_text(json.dumps(data), encoding="utf-8")
             for call in CALLS:
                 report = Path("report.json")

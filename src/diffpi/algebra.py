@@ -513,6 +513,32 @@ def _lift_section(a: Algebra, q: Algebra, reps: list[int],
     return sec
 
 
+def _blocks(q: Algebra) -> tuple:
+    """(units, bases, dims) of the simple blocks of the semisimple
+    algebra q: block i is units[i] q, spanned by bases[i] and isomorphic
+    to M_(dims[i])(Q). The order is canonical (by leading coordinate of
+    the unit, then dimension, then the unit). Raises NonSplit when q is
+    not a sum of matrix algebras over the rationals."""
+    units = _central_idempotents(q)
+    basis = [{i: ONE} for i in range(q.dim)]
+    bases = [span_products(q, [e], basis) for e in units]
+    # the last key compares units as coordinate tuples
+    order = sorted(range(len(bases)), key=lambda i: (
+        min(units[i]),
+        len(bases[i]),
+        [units[i].get(k, ZERO) for k in range(q.dim)]))
+    bases = [bases[i] for i in order]
+    units = [units[i] for i in order]
+    dims = []
+    for b in bases:
+        n = isqrt(len(b))
+        if n * n != len(b):
+            raise NonSplit(f"simple block of dimension {len(b)} is not a "
+                           "matrix algebra over the rationals")
+        dims.append(n)
+    return units, bases, dims
+
+
 def wedderburn(a: Algebra) -> WedderburnData:
     """Radical plus a lifted rational block decomposition of a.
 
@@ -538,23 +564,7 @@ def _wedderburn(a: Algebra) -> WedderburnData:
     quotient, reps = _quotient(a, rad)
     if radical(quotient):
         raise IntegrityError("quotient by the radical still has radical")
-    units_q = _central_idempotents(quotient)
-    basis_q = [{i: ONE} for i in range(quotient.dim)]
-    blocks_q = [span_products(quotient, [e], basis_q) for e in units_q]
-    # the last key compares units as coordinate tuples
-    order = sorted(range(len(blocks_q)), key=lambda i: (
-        min(units_q[i]),
-        len(blocks_q[i]),
-        [units_q[i].get(k, ZERO) for k in range(quotient.dim)]))
-    blocks_q = [blocks_q[i] for i in order]
-    units_q = [units_q[i] for i in order]
-    dims = []
-    for b in blocks_q:
-        n = isqrt(len(b))
-        if n * n != len(b):
-            raise NonSplit(f"simple block of dimension {len(b)} is not a "
-                           "matrix algebra over the rationals")
-        dims.append(n)
+    units_q, blocks_q, dims = _blocks(quotient)
     sec = _lift_section(a, quotient, reps, jpowers)
     block_bases = tuple(tuple(combine(v, sec) for v in b) for b in blocks_q)
     idems = tuple(combine(u, sec) for u in units_q)
@@ -674,7 +684,7 @@ def builtin(name: str) -> AlgebraWithDerivations:
         if parts:
             return direct_sum(*[builtin(p) for p in parts])
     if name == "UT2eps":
-        a = _ut2eps_algebra()
+        a = _matrix_units_algebra([(1, 1), (2, 2), (1, 2)], 2)
         half = Fraction(1, 2)
         x = {0: half, 1: -half}  # coords on e11, e22, e12
         eps = inner_derivation(a, x, name="eps")
@@ -699,16 +709,6 @@ def builtin(name: str) -> AlgebraWithDerivations:
             a = _idempotents_algebra(num)
         return AlgebraWithDerivations(a, make_action(a, []))
     raise UnknownBuiltin(f"unknown builtin algebra {name!r}")
-
-
-def _ut2eps_algebra() -> Algebra:
-    labels = ("e11", "e22", "e12")
-    pairs = {("e11", "e11"): "e11", ("e22", "e22"): "e22",
-             ("e11", "e12"): "e12", ("e12", "e22"): "e12"}
-    idx = {lb: i for i, lb in enumerate(labels)}
-    table = {(idx[p], idx[q]): {idx[r]: ONE} for (p, q), r in pairs.items()}
-    return Algebra(dim=3, basis_labels=labels, table=table,
-                   unit=(ONE, ONE, ZERO))
 
 
 def _ut_algebra(k: int) -> Algebra:

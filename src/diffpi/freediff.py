@@ -21,7 +21,8 @@ from itertools import combinations, permutations, product
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .algebra import Algebra, _minpoly, _rational_roots, wedderburn
+from .algebra import (Algebra, _blocks, _minpoly, _rational_roots,
+                      radical)
 from .errors import (DiffSyntaxError, IntegrityError, NonSplit,
                      NotMultilinear, UnknownOperator)
 from .linalg import (ONE, ZERO, RowSpan, combine, compose, coordinates,
@@ -146,34 +147,25 @@ def _independent(vecs) -> list:
     return [v for v in vecs if span.insert(v)]
 
 
-def _primitive_idempotent(ob: OperatorBasis, e: Algebra, unit: dict,
-                          basis: Sequence[dict], d: int,
-                          on_a) -> Optional[tuple]:
-    """A primitive idempotent of the block of E with the given unit and
-    basis, isomorphic to M_d(Q), as a map on A; None if none is found.
+def _primitive_image(e: Algebra, unit: dict, basis: Sequence[dict],
+                     d: int, on_a) -> Optional[list]:
+    """A basis of T = pA for a primitive idempotent p of the block of E
+    with the given unit and basis, isomorphic to M_d(Q); None if no p is
+    found.
 
-    d = 1: the unit. If the unit has rank d on A, its image is the
-    simple module and the block is all of its endomorphisms, so a
-    rank-one idempotent on it lies in E, which is checked. Otherwise
-    a basis vector x whose minimal polynomial has d distinct rational
-    roots is diagonalizable with one-dimensional eigenspaces, and the
-    spectral projection prod_(s != r) (x - s)/(r - s) is rank one.
+    d = 1: p is the unit. If the unit has rank d on A, its image is the
+    simple module, on which the block is all of the endomorphisms, so
+    any line in it is the image of a primitive idempotent: T is spanned
+    by the first nonzero column of the unit. Otherwise a basis vector x
+    whose minimal polynomial has d distinct rational roots is
+    diagonalizable with one-dimensional eigenspaces, and the spectral
+    projection prod_(s != r) (x - s)/(r - s) is primitive.
     """
-    eps = on_a(unit)
+    image = _independent(on_a(unit))
     if d == 1:
-        return eps
-    image = _independent(eps)
+        return image
     if len(image) == d:
-        v = image[0]
-        c = min(v)
-        p = tuple({i: w[c] / v[c] * x for i, x in v.items()} if c in w
-                  else {} for w in eps)
-        dim = len(p)
-        flat = coordinates([stack(enumerate(op), dim) for op in ob.ops])
-        if flat(stack(enumerate(p), dim)) is None:
-            raise IntegrityError("a rank-one map on a simple summand of A "
-                                 "is not in the operator algebra")
-        return p
+        return image[:1]
     in_block = coordinates(list(basis))
     for x in basis:
         mul = tuple(in_block(e.product(x, y)) for y in basis)
@@ -184,7 +176,7 @@ def _primitive_idempotent(ob: OperatorBasis, e: Algebra, unit: dict,
             for s in roots[1:]:
                 p = e.product(p, combine({0: 1 / (r - s), 1: -s / (r - s)},
                                          (x, unit)))
-            return on_a(p)
+            return _independent(on_a(p))
     return None
 
 
@@ -208,11 +200,11 @@ def isotypic_route(ob: OperatorBasis) -> Optional[IsotypicRoute]:
     if _generators_commute(ob):
         return None
     e = _operator_algebra(ob)
-    try:
-        wd = wedderburn(e)
-    except NonSplit:
+    if radical(e):
         return None
-    if wd.radical_basis:
+    try:
+        units, bases, dims = _blocks(e)
+    except NonSplit:
         return None
     dim = len(ob.ops[0])
     columns = [[op[b] for op in ob.ops] for b in range(dim)]
@@ -221,12 +213,10 @@ def isotypic_route(ob: OperatorBasis) -> Optional[IsotypicRoute]:
         return tuple(combine(x, col) for col in columns)
 
     weights, labels = [], []  # (first input of the block, label images)
-    for unit, basis, d in zip(wd.block_idempotents, wd.block_bases,
-                              wd.block_dims):
-        p = _primitive_idempotent(ob, e, unit, basis, d, on_a)
-        if p is None:
+    for unit, basis, d in zip(units, bases, dims):
+        t = _primitive_image(e, unit, basis, d, on_a)
+        if t is None:
             return None
-        t = _independent(p)
         # the maps phi restricted to T_j: E p_j, which has dimension d
         span = RowSpan()
         mine = [r for r in ([combine(v, op) for v in t] for op in ob.ops)

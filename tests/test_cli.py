@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from diffpi import DiffPiError
 from diffpi.cli import AlgebraFileError, exit_code, main
 
@@ -457,6 +459,85 @@ def test_algebra_file_schema_errors(capsys, tmp_path):
         assert err.startswith("error:"), name
         if name.startswith("der"):
             assert "derivations: expected a list" in err, name
+
+
+def _file(**fields):
+    """An algebra file on one basis vector x, with fields replaced."""
+    return json.dumps({"dim": 1, "basis": ["x"], "table": [],
+                       **fields}).encode()
+
+
+def _cell(*pairs):
+    return _file(table=[[0, 0, list(pairs)]])
+
+
+def _ders(*ders, dim=1):
+    return _file(dim=dim, basis=["x", "y"][:dim], derivations=list(ders))
+
+
+VALIDATE = ("validate", "FILE")
+
+
+@pytest.mark.parametrize("argv,blob,want", [
+    pytest.param(VALIDATE, _cell([0, True]),
+                 "table[0].cell[0]: booleans are not coefficients",
+                 id="bool-coefficient"),
+    pytest.param(VALIDATE, _cell([0, "1/x"]),
+                 "table[0].cell[0]: cannot parse rational '1/x'",
+                 id="unparsable-coefficient"),
+    pytest.param(VALIDATE, _cell([0, None]),
+                 "table[0].cell[0]: expected a rational, got NoneType",
+                 id="null-coefficient"),
+    pytest.param(VALIDATE, b"[]", "top level must be a JSON object",
+                 id="top-level-list"),
+    pytest.param(VALIDATE, json.dumps({"builtin": 5}).encode(),
+                 "builtin: expected a name string", id="builtin-number"),
+    pytest.param(VALIDATE, json.dumps({"dim": 1, "basis": ["x"]}).encode(),
+                 "missing required field 'table'", id="missing-table"),
+    pytest.param(VALIDATE, _file(dim=0), "dim: expected a positive integer",
+                 id="dim-zero"),
+    pytest.param(VALIDATE, _file(dim="3"),
+                 "dim: expected a positive integer", id="dim-string"),
+    pytest.param(VALIDATE, _file(dim=2),
+                 "basis: expected a list of 2 name strings",
+                 id="basis-length"),
+    pytest.param(VALIDATE, _file(table={}), "table: expected a list",
+                 id="table-dict"),
+    pytest.param(VALIDATE, _file(table=[[0, 0]]),
+                 "table[0]: expected [i, j, cell]", id="table-pair"),
+    pytest.param(VALIDATE, _file(table=[[0, 0, 5]]),
+                 "table[0]: cell must be a list", id="cell-number"),
+    pytest.param(VALIDATE, _cell([0]),
+                 "table[0].cell[0]: expected [k, coefficient]",
+                 id="cell-one-item"),
+    pytest.param(VALIDATE, _cell([0, 1], [0, 2]),
+                 "table[0].cell[1]: duplicate coordinate 0",
+                 id="cell-repeated-k"),
+    pytest.param(VALIDATE, _ders({"name": "d"}),
+                 "derivations[0]: expected {name, matrix}",
+                 id="derivation-no-matrix"),
+    pytest.param(VALIDATE, _ders({"name": "d", "matrix": [[0, 0], [0]]},
+                                 dim=2),
+                 "derivations[0].matrix: expected 2 rows of 2 rationals",
+                 id="matrix-short-row"),
+    pytest.param(VALIDATE, _ders({"name": "d", "matrix": [[0]]},
+                                 {"name": "d", "matrix": [[1]]}),
+                 "derivations: duplicate names", id="derivation-names"),
+    pytest.param(VALIDATE, b'{"dim": 1, "basis": ["\xff"]}',
+                 "not UTF-8 text", id="algebra-not-utf8"),
+    pytest.param(("consequences", "UT2eps", "--gens", "FILE", "--n", "2"),
+                 b"# only a comment\n\n   # and another\n",
+                 "no generators found", id="gens-only-comments"),
+])
+def test_input_schema_errors_name_their_field(capsys, tmp_path, argv, blob,
+                                              want):
+    f = tmp_path / "input"
+    f.write_bytes(blob)
+    code, out, err = run(capsys, *(str(f) if a == "FILE" else a
+                                   for a in argv))
+    assert code == 1
+    assert err.startswith("error:") and want in err
+    assert "Traceback" not in err
 
 
 def test_report_top_level_keys(capsys):

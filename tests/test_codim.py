@@ -7,11 +7,12 @@ import pytest
 from corpus import cells_algebra, corpus
 from diffpi import (DEFAULT_BUDGET, Algebra, AlgebraWithDerivations,
                     BudgetExceeded, Derivation, DiffMonomial, DiffPoly,
-                    builtin, cocharacter, codim, codim_via_ideal,
+                    NonSplit, builtin, cocharacter, codim, codim_via_ideal,
                     consequences_cost, direct_sum, evaluate,
                     evaluation_cost, inner_derivation, is_identity,
-                    make_action, operator_basis, parse_diff_poly,
+                    make_action, operator_basis, parse_diff_poly, radical,
                     wedderburn)
+from diffpi.algebra import _blocks
 from diffpi.codim import _closure_rows, block_weight, monomial_row, poly_row
 from diffpi.linalg import RowSpan, combine, coordinates, to_rows
 
@@ -444,6 +445,13 @@ def test_operator_algebra_with_radical_takes_the_general_route(monkeypatch):
     assert built == [ob]
     assert wedderburn(importlib.import_module(
         "diffpi.freediff")._operator_algebra(ob)).radical_basis
+    _general_route_codims(a, ob)
+
+
+def _general_route_codims(a, ob) -> list:
+    """(c_n^L, c_n) for n = 1, 2, 3, checked to come from the general
+    route and to match the greedy reference."""
+    out = []
     for n in (1, 2, 3):
         r = codim(a, ob, n)
         ref = [row for _, row in greedy_quotient(a, ob, n)]
@@ -451,6 +459,62 @@ def test_operator_algebra_with_radical_takes_the_general_route(monkeypatch):
         assert r.weights is None
         assert (r.c_n_L, r.c_n_ordinary) == (len(ref), len(ref_ord))
         assert r.quotient.reduced_rows() == reduced_echelon(ref)
+        out.append((r.c_n_L, r.c_n_ordinary))
+    return out
+
+
+def _rotation_and_plane():
+    """Q 1 + V with V^2 = 0 on 1, u1, u2, v1, v2, and two derivations
+    that kill 1: p maps u1 -> u2, u2 -> -u1, v2 -> v1, and q maps
+    u1 -> u2, u2 -> -u1, v1 -> v2. The operator algebra is
+    Q x Q(i) x M_2(Q), of dimension 7."""
+    one, z = F(1), F(0)
+    table = {(0, 0): {0: one}}
+    for b in range(1, 5):
+        table[(0, b)] = table[(b, 0)] = {b: one}
+    a = Algebra(dim=5, basis_labels=("1", "u1", "u2", "v1", "v2"),
+                table=table, unit=(one, z, z, z, z))
+
+    def der(name, images):  # images: (from, to, coefficient)
+        m = [[z] * 5 for _ in range(5)]
+        for i, j, c in images:
+            m[j][i] = F(c)
+        return Derivation(name, tuple(map(tuple, m)))
+    rot = [(1, 2, 1), (2, 1, -1)]
+    gens = [der("p", rot + [(4, 3, 1)]), der("q", rot + [(3, 4, 1)])]
+    return AlgebraWithDerivations(a, make_action(a, gens))
+
+
+def test_nonsplit_operator_algebra_takes_the_general_route(monkeypatch):
+    # E has no radical but its center holds Q(i), so the blocks of E do
+    # not split and the route falls back
+    awd = _rotation_and_plane()
+    a = awd.algebra
+    built = _count_operator_algebras(monkeypatch)
+    ob = operator_basis(a, awd.action)
+    assert ob.k == 7
+    assert ob.isotypic is None
+    assert built == [ob]
+    e = importlib.import_module("diffpi.freediff")._operator_algebra(ob)
+    assert radical(e) == []
+    with pytest.raises(NonSplit):
+        _blocks(e)
+    assert _general_route_codims(a, ob) == [(7, 1), (13, 1), (19, 1)]
+
+
+@pytest.mark.parametrize("awd,weights", [
+    pytest.param(builtin("M2sl2"), (1, 3), id="M2sl2"),
+    pytest.param(sl2_plane(3), (1, 1, 1, 2, 2, 2), id="sl2-plane-x3")])
+def test_isotypic_route_lifts_no_section(awd, weights, monkeypatch):
+    # E is semisimple, so its blocks are read off E itself: the
+    # Wedderburn-Malcev lift is never needed
+    def refuse(*args):
+        raise AssertionError("the isotypic route lifted a section")
+
+    monkeypatch.setattr(importlib.import_module("diffpi.algebra"),
+                        "_lift_section", refuse)
+    ob = operator_basis(awd.algebra, awd.action)
+    assert ob.isotypic.weights == weights
 
 
 def test_isotypic_route_is_built_once_per_operator_basis(monkeypatch):

@@ -35,6 +35,8 @@ PINNED = [
     ("275f1a61a20722c2dec91f1c527e5a4cc677b5d7efbee7790d2b7f2d9ab535be", 0),
     ("6128103f7b0e91ef7e2de94267fea52ad1805a9f3ef181d3927569d6d52cd70a", 0),
     ("e50fc4d9484f4cd2feb7a51510b97b994ef15ea332ccb563c2a80f07f69a1def", 0),
+    ("93be2bfdccd64e6528ea785c4e0732ece0610befcd5530cc992c547498d81259", 0),
+    ("b46d9d11ad6d36cc7226774b433a97d4bcd04229ec6ff50462f5100e9f851e78", 0),
 ]
 
 
