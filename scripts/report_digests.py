@@ -67,6 +67,13 @@ x1^eps*x2^eps
 x1^epseps - 1/2 x1^eps
 """
 
+# two-letter words over M2sl2's three derivations (k = 10): the slot
+# words of a basis label act on a two-variable block letter by letter
+M2SL2_GENERATORS = """\
+x1^epsdelta*x2 - x2^gamma*x1
+x1^deltaeps - x1^gammagamma
+"""
+
 # Q x Q on u = A f1 + 2 f2, v = f2 for the 10-digit prime A = 10^9 + 7:
 # multiplication by u has the minimal polynomial (t - 2)(t - A)
 A = 10 ** 9 + 7
@@ -147,6 +154,8 @@ CALLS = (
     ["cocharacter", "M2sl2", "--n", "4", "--budget", "300000000"],
     ["cocharacter", "sl2_planes.json", "--n", "3"],
     ["cocharacter", "m2_inner.json", "--n", "3"],
+    ["consequences", "M2sl2", "--gens", "m2sl2_gens.txt", "--n", "2",
+     "--check"],
 )
 
 
@@ -160,6 +169,8 @@ def digests() -> list:
             Path("gens.txt").write_text(GENERATORS, encoding="utf-8")
             Path("half_gens.txt").write_text(HALF_GENERATORS,
                                              encoding="utf-8")
+            Path("m2sl2_gens.txt").write_text(M2SL2_GENERATORS,
+                                              encoding="utf-8")
             for name, data in (("skewed.json", SKEWED),
                                ("ut2eps_tri.json", UT2EPS_TRI),
                                ("ut2eps_half.json", UT2EPS_TRI_HALF),

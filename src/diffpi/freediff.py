@@ -17,8 +17,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import lcm
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import (Algebra, _blocks, _minpoly, _rational_roots,
@@ -546,57 +547,20 @@ def format_diff_poly(p: DiffPoly, ob: OperatorBasis) -> str:
     return " ".join(parts)
 
 
-def _substitution_instances(g: DiffPoly, n: int, ob: OperatorBasis):
-    """The identity-order degree-n consequences of g under monomial
-    substitution and outer multiplication.
-
-    Variables 0..n-1 in identity order are cut into an optional left
-    factor, one nonempty block per variable of g, and an optional right
-    factor; every position takes every label. Block substitution pushes
-    the slot's operator word through the block by the Leibniz rule.
-
-    Identity order; the S_n closure supplies the rest: the instance with
-    the variables in order s is sn_act(s, .) of the one yielded here
-    with the same cuts and labels.
-    """
-    d = g.n
-    if d > n or g.is_zero():
-        return
-    for cuts in combinations(range(n + 1), d + 1):
-        for labels in product(range(ob.k), repeat=n):
-            def part(lo: int, hi: int) -> DiffMonomial:
-                return DiffMonomial(tuple(range(lo, hi)), labels[lo:hi])
-            blocks = [part(cuts[i], cuts[i + 1]) for i in range(d)]
-            post = part(cuts[d], n)
-            # (variable of g, label) -> the slot word applied to the block
-            frags: dict = {}
-            out: dict[DiffMonomial, Fraction] = {}
-            for gm, gc in g.terms.items():
-                choices = []
-                for cell in zip(gm.perm, gm.labels):
-                    if cell not in frags:
-                        yvar, lab = cell
-                        frags[cell] = list(apply_word(
-                            ob.words[lab], DiffPoly(n, {blocks[yvar]: ONE}),
-                            ob).terms.items())
-                    choices.append(frags[cell])
-                # (perm, labels) of the prefix, its coefficient, next slot
-                stack = [(part(0, cuts[0]), gc, 0)]
-                while stack:
-                    (perm, labs), coeff, slot = stack.pop()
-                    if slot == d:
-                        key = DiffMonomial(perm + post.perm, labs + post.labels)
-                        nc = out.get(key, ZERO) + coeff
-                        if nc:
-                            out[key] = nc
-                        elif key in out:
-                            del out[key]
-                        continue
-                    for frag, fc in choices[slot]:
-                        stack.append(((perm + frag.perm, labs + frag.labels),
-                                      coeff * fc, slot + 1))
-            if out:
-                yield DiffPoly(n, out)
+def _leibniz(row: dict, act: Sequence[dict], places: Sequence[int],
+             k: int) -> dict:
+    """One generator on a row of columns, by the Leibniz rule over the
+    label digits at places: the digit l at place p becomes each label of
+    act[l] in turn, times its coefficient, one place at a time."""
+    out: dict = {}
+    for col, x in row.items():
+        for p in places:
+            lab = col // p % k
+            rest = col - lab * p
+            for new, c in act[lab].items():
+                key = rest + new * p
+                out[key] = out.get(key, 0) + x * c
+    return {col: x for col, x in out.items() if x}
 
 
 def consequences(gens: Sequence[DiffPoly], n: int, ob: OperatorBasis) -> list[DiffPoly]:
@@ -604,36 +568,39 @@ def consequences(gens: Sequence[DiffPoly], n: int, ob: OperatorBasis) -> list[Di
 
     Span of the substitution and outer multiplication instances, closed
     under the symmetric group action and under the generating
-    derivations, iterated to a fixed point. Instances are built in
-    identity order; the S_n closure supplies the rest. Returned as the
-    reduced echelon basis of the span, sorted by pivot in monomial
-    order: it is unique for the span, so it depends only on the ideal,
-    not on the order or the scaling of the generators.
+    derivations, iterated to a fixed point. Returned as the reduced
+    echelon basis of the span, sorted by pivot in monomial order: it is
+    unique for the span, so it depends only on the ideal, not on the
+    order or the scaling of the generators.
 
-    The closure steps on integer rows, as codim's does: a swap permutes
-    the monomial columns, and generator g maps each column to its Leibniz
-    image times the common denominator D_g of g's action. A positive
-    multiple of a row reduces to the same primitive row, so the span is
-    the one the exact polynomials build, row for row.
+    A column is a number: r*k^n + sum of labels[p]*k^(n-1-p) is the
+    monomial with the r-th variable order of permutations(range(n)) and
+    those labels, so columns run in monomial order. A derivation changes
+    one label digit at a time (_leibniz), and a swap moves the order r.
+
+    Instances are built in identity order, and the S_n closure supplies
+    the rest. Variables 0..n-1 are cut into an optional left factor,
+    one nonempty block per variable of g and an optional right factor,
+    and every variable takes every label. Each term of g is then one
+    column, and each slot's operator word acts, rightmost letter first,
+    on the label digits of its block.
+
+    The closure steps on integer rows, as codim's does: generator g acts
+    by its action times the common denominator D_g. A positive multiple
+    of a row reduces to the same primitive row, so the span is the one
+    the exact polynomials build, row for row.
     """
     for g in gens:
         validate_multilinear(g)
     # generators of degree above n have no degree-n instances
-    gens = [g for g in gens if g.n <= n]
+    gens = [g for g in gens if g.n <= n and not g.is_zero()]
     if not gens:
         return []
-    # the columns: every degree-n monomial, in tuple order
-    monos = [DiffMonomial(perm, labels) for perm in permutations(range(n))
-             for labels in product(range(ob.k), repeat=n)]
-    index = {m: j for j, m in enumerate(monos)}
-    moves = [[index[DiffMonomial(tuple(sw[v] for v in m.perm), m.labels)]
-              for m in monos] for sw in adjacent_swaps(n)]
-    images = []  # images[g][j]: (column, int) pairs of D_g g(monos[j])
-    for g, act in enumerate(ob.gen_action):
-        den = lcm(*(c.denominator for img in act for c in img.values()))
-        images.append([[(index[key], int(c * den)) for key, c in
-                        _derive_terms(g, {m: ONE}, ob).items()]
-                       for m in monos])
+    k = ob.k
+    width = k ** n  # the columns of one variable order
+    places = [k ** (n - 1 - p) for p in range(n)]
+    perms = list(permutations(range(n)))
+    order = {perm: r for r, perm in enumerate(perms)}
     span = RowSpan()
     queue: list[dict] = []
 
@@ -642,19 +609,46 @@ def consequences(gens: Sequence[DiffPoly], n: int, ob: OperatorBasis) -> list[Di
             queue.append(row)
 
     for g in gens:
-        for inst in _substitution_instances(g, n, ob):
-            den = lcm(*(c.denominator for c in inst.terms.values()))
-            push({index[m]: int(c * den) for m, c in inst.terms.items()})
+        d = g.n
+        for cuts in combinations(range(n + 1), d + 1):
+            blocks = [range(cuts[i], cuts[i + 1]) for i in range(d)]
+            # each term as (its order's first column, the place of each
+            # variable's label, its slot words with their places, coeff)
+            terms = []
+            for gm, gc in g.terms.items():
+                mid = chain(*(blocks[y] for y in gm.perm))
+                perm = (*range(cuts[0]), *mid, *range(cuts[d], n))
+                at = [places[perm.index(v)] for v in range(n)]
+                slots = [(ob.words[lab], [at[v] for v in blocks[y]])
+                         for y, lab in zip(gm.perm, gm.labels)]
+                terms.append((order[perm] * width, at, slots, gc))
+            for labels in product(range(k), repeat=n):
+                inst: dict = {}
+                for first, at, slots, gc in terms:
+                    row = {first + sum(map(mul, labels, at)): gc}
+                    for word, slot in slots:
+                        for h in reversed(word):
+                            row = _leibniz(row, ob.gen_action[h], slot, k)
+                    for col, x in row.items():
+                        inst[col] = inst.get(col, 0) + x
+                den = lcm(*(x.denominator for x in inst.values()))
+                push({col: int(x * den) for col, x in inst.items() if x})
+    acts = []  # D_g times the action of generator g
+    for act in ob.gen_action:
+        den = lcm(*(c.denominator for img in act for c in img.values()))
+        acts.append([{lab: int(c * den) for lab, c in img.items()}
+                     for img in act])
+    swaps = [[order[tuple(sw[v] for v in perm)] for perm in perms]
+             for sw in adjacent_swaps(n)]
     while queue:
         row = queue.pop()
-        for img in images:
-            out: dict = {}
-            for j, x in row.items():
-                for i, c in img[j]:
-                    out[i] = out.get(i, 0) + x * c
-            push({i: x for i, x in out.items() if x})
-        for move in moves:
-            push({move[j]: x for j, x in row.items()})
+        for act in acts:
+            push(_leibniz(row, act, places, k))
+        for swap in swaps:
+            push({swap[col // width] * width + col % width: x
+                  for col, x in row.items()})
     rref = span.reduced_rows()
-    return [DiffPoly(n, {monos[j]: c for j, c in rref[r].items()})
+    return [DiffPoly(n, {DiffMonomial(perms[col // width],
+                                      tuple(col // p % k for p in places)): c
+                         for col, c in rref[r].items()})
             for r in sorted(rref)]

@@ -11,13 +11,14 @@ from corpus import PARSER_CORPUS, corpus, random_split_algebra
 from diffpi import (AlgebraWithDerivations, Derivation, DiffPoly,
                     DiffSyntaxError, NotMultilinear, UnknownOperator,
                     builtin, codim, codim_via_ideal, consequences,
-                    derive_poly, format_diff_poly, make_action,
-                    operator_basis, parse_diff_poly, sn_act,
+                    derive_poly, format_diff_poly, is_identity,
+                    make_action, operator_basis, parse_diff_poly, sn_act,
                     validate_multilinear)
 from diffpi import freediff
 from diffpi.cli import main
 from diffpi.freediff import DiffMonomial, adjacent_swaps, apply_word
 from diffpi.linalg import RowSpan
+from test_codim import sl2_plane
 from test_linalg import gauss_jordan
 
 F = Fraction
@@ -323,6 +324,41 @@ def _assert_matches_all_orders(gens, n, ob):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_consequences_match_all_orders_route(ut2eps_gens, ut2eps_ob, n):
     _assert_matches_all_orders(ut2eps_gens, n, ut2eps_ob)
+
+
+# two-letter slot words over M2sl2's three derivations (k = 10)
+M2SL2_GENERATORS = ("x1^epsdelta*x2 - x2^gamma*x1",
+                    "x1^deltaeps - x1^gammagamma")
+
+
+@pytest.mark.parametrize("src", M2SL2_GENERATORS)
+def test_consequences_m2sl2_match_all_orders_route(m2sl2_ob, src):
+    _assert_matches_all_orders([parse_diff_poly(src, m2sl2_ob)], 2, m2sl2_ob)
+
+
+@pytest.mark.parametrize("src, rows", [("x1^e*x2^fe", 672),
+                                       ("x1^f*x2^fe", 600)])
+def test_consequences_of_identity_push_words_in_order(src, rows):
+    # on sl2_plane, fe and ef differ, and these identities keep the span
+    # inside the identities: a slot word applied in the wrong letter
+    # order gives 600 and 672 rows instead
+    awd = sl2_plane()
+    ob = operator_basis(awd.algebra, awd.action)
+    g = parse_diff_poly(src, ob)
+    assert is_identity(g, awd.algebra, ob)
+    basis = consequences([g], 3, ob)
+    assert len(basis) == rows
+    assert all(is_identity(b, awd.algebra, ob) for b in basis)
+    _assert_matches_all_orders([g], 3, ob)
+
+
+def test_consequences_never_expand_diff_polys(monkeypatch, ut2eps_gens,
+                                              ut2eps_ob):
+    # instances and closure step on column digits, not on DiffPoly terms
+    def refuse(*args):
+        raise AssertionError("consequences expanded a DiffPoly")
+    monkeypatch.setattr(freediff, "_derive_terms", refuse)
+    assert len(consequences(ut2eps_gens, 4, ut2eps_ob)) == 351
 
 
 def test_consequences_canonical_under_generator_order_and_scale(ut2eps_gens,

@@ -37,6 +37,7 @@ PINNED = [
     ("e50fc4d9484f4cd2feb7a51510b97b994ef15ea332ccb563c2a80f07f69a1def", 0),
     ("93be2bfdccd64e6528ea785c4e0732ece0610befcd5530cc992c547498d81259", 0),
     ("b46d9d11ad6d36cc7226774b433a97d4bcd04229ec6ff50462f5100e9f851e78", 0),
+    ("17940eebeaecc97394aae2d25ba8ae29c0afc1dd23f310b6c67306b63d6848ae", 0),
 ]
 
 
