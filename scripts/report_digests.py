@@ -21,7 +21,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from diffpi.algebra import builtin  # noqa: E402
 from diffpi.cli import main  # noqa: E402
+from diffpi.linalg import coordinates, sparse  # noqa: E402
 
 GENERATORS = """\
 [x1,x2]^eps - [x1,x2]
@@ -123,6 +125,29 @@ M2_INNER = {
     ],
 }
 
+
+
+def dense_utk4() -> dict:
+    """UTk(4) on the basis f_i = e_i + ... + e_(dim-1): every product of
+    two basis vectors is nonzero, and J, J^2, J^3 have dimensions 6, 3
+    and 1, so the radical powers feed the section lift."""
+    a = builtin("UTk(4)").algebra
+    f = [{k: 1 for k in range(i, a.dim)} for i in range(a.dim)]
+    coords = coordinates(f)
+
+    def cell(v: dict) -> list:
+        return [[k, str(x)] for k, x in coords(v).items()]
+
+    return {
+        "dim": a.dim,
+        "basis": [f"f{i}" for i in range(a.dim)],
+        "table": [[i, j, cell(a.product(u, v))]
+                  for i, u in enumerate(f) for j, v in enumerate(f)],
+        "unit": [str(coords(sparse(a.unit)).get(k, 0))
+                 for k in range(a.dim)],
+    }
+
+
 CALLS = (
     ["codim", "UT2eps", "--max-n", "6"],
     ["codim", "UT2eps", "--max-n", "6", "--ordinary"],
@@ -156,6 +181,8 @@ CALLS = (
     ["cocharacter", "m2_inner.json", "--n", "3"],
     ["consequences", "M2sl2", "--gens", "m2sl2_gens.txt", "--n", "2",
      "--check"],
+    ["decompose", "dense_utk4.json"],
+    ["exponent", "dense_utk4.json"],
 )
 
 
@@ -176,7 +203,8 @@ def digests() -> list:
                                ("ut2eps_half.json", UT2EPS_TRI_HALF),
                                ("qxq.json", QXQ),
                                ("sl2_planes.json", SL2_PLANES),
-                               ("m2_inner.json", M2_INNER)):
+                               ("m2_inner.json", M2_INNER),
+                               ("dense_utk4.json", dense_utk4())):
                 Path(name).write_text(json.dumps(data), encoding="utf-8")
             for call in CALLS:
                 report = Path("report.json")

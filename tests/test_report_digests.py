@@ -38,6 +38,8 @@ PINNED = [
     ("93be2bfdccd64e6528ea785c4e0732ece0610befcd5530cc992c547498d81259", 0),
     ("b46d9d11ad6d36cc7226774b433a97d4bcd04229ec6ff50462f5100e9f851e78", 0),
     ("17940eebeaecc97394aae2d25ba8ae29c0afc1dd23f310b6c67306b63d6848ae", 0),
+    ("7a16f8f06c20d85baba9a1df381d4bb4e9efc2e4c3c92bee10ec60753d1c6638", 0),
+    ("92535cb8d894296f5c1e2b7bf0aec2babdccdf1db5d57e981afe87858654160d", 0),
 ]
 
 
