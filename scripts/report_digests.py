@@ -126,7 +126,6 @@ M2_INNER = {
 }
 
 
-
 def dense_utk4() -> dict:
     """UTk(4) on the basis f_i = e_i + ... + e_(dim-1): every product of
     two basis vectors is nonzero, and J, J^2, J^3 have dimensions 6, 3

@@ -53,6 +53,16 @@ class Algebra:
         if len(self.basis_labels) != self.dim:
             raise InvariantViolation("basis label count differs from dim")
 
+    @cached_property
+    def support(self) -> tuple:
+        """support[i] is the set of j with (i, j) in the table: the right
+        factors e_j that e_i can multiply to something nonzero."""
+        out = [set() for _ in range(self.dim)]
+        for (i, j), prod in self.table.items():
+            if prod:
+                out[i].add(j)
+        return tuple(frozenset(s) for s in out)
+
     def product(self, u: dict, v: dict) -> dict:
         """Product of sparse vectors: only pairs of nonzero coordinates
         are visited, and only nonzero entries are returned. No zero seeds
@@ -235,26 +245,43 @@ def radical(a: Algebra) -> list[Vector]:
     """
     if a.dim == 0:
         return []
-    t = [sum((a.table.get((i, j), {}).get(j, ZERO) for j in range(a.dim)),
-             ZERO) for i in range(a.dim)]
+    table, support = a.table, a.support
+    t = [sum((table[(i, j)].get(j, ZERO) for j in support[i]), ZERO)
+         for i in range(a.dim)]
 
     def tr(v: Vector) -> Fraction:
         return sum((x * t[k] for k, x in v.items()), ZERO)
-    # column j holds tr(e_j y) for y = e_0, ..., e_(dim-1), then 1
-    return nullspace([sparse([tr(a.table.get((j, y), {}))
-                              for y in range(a.dim)] + [t[j]])
-                      for j in range(a.dim)])
+    # column j holds tr(e_j y) for y = e_0, ..., e_(dim-1), then 1; the
+    # pairs outside the table give 0
+    cols = []
+    for j in range(a.dim):
+        col = {y: x for y in sorted(support[j])
+               if (x := tr(table[(j, y)]))}
+        if t[j]:
+            col[a.dim] = t[j]
+        cols.append(col)
+    return nullspace(cols)
 
 
 def span_products(a: Algebra, left: Sequence[Vector],
                   right: Sequence[Vector]) -> list[Vector]:
     """Basis of span{u v : u in left, v in right}: the products that
-    are independent of the ones before them, in that order."""
+    are independent of the ones before them, in that order.
+
+    u v is zero unless some coordinate of v is in a.support of some
+    coordinate of u, and a zero product never enlarges the span, so
+    only the v that pass this test are multiplied, in their order."""
+    at: dict = {}  # coordinate -> the positions in right that hold it
+    for p, v in enumerate(right):
+        for j in v:
+            at.setdefault(j, []).append(p)
+    support = a.support
     span = RowSpan()
     out = []
     for u in left:
-        for v in right:
-            w = a.product(u, v)
+        reach = set().union(*(support[i] for i in u)).intersection(at)
+        for p in sorted({p for j in reach for p in at[j]}):
+            w = a.product(u, right[p])
             if span.insert(w):
                 out.append(w)
     return out
@@ -573,7 +600,7 @@ def _wedderburn(a: Algebra) -> WedderburnData:
         raise IntegrityError("block dimensions do not add up")
     edges = set()
     for i, ei in enumerate(idems):
-        eij = [a.product(ei, jb) for jb in rad]
+        eij = [w for jb in rad if (w := a.product(ei, jb))]
         for j, ej in enumerate(idems):
             if i != j and any(a.product(w, ej) for w in eij):
                 edges.add((i, j))

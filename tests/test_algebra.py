@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
@@ -8,11 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from corpus import cells_algebra, random_split_algebra, truncated_poly
 from diffpi import (Algebra, AlgebraWithDerivations, Derivation,
                     InvariantViolation, NonSplit, builtin, check_l_stability,
-                    direct_sum, inner_derivation, make_action, radical,
-                    radical_powers, split_derivation, wedderburn)
+                    direct_sum, exponent, inner_derivation, make_action,
+                    radical, radical_powers, split_derivation, wedderburn)
 from diffpi import algebra as algebra_module
-from diffpi.algebra import _quotient, _rational_roots
-from diffpi.linalg import combine
+from diffpi.algebra import _quotient, _rational_roots, span_products
+from diffpi.linalg import RowSpan, combine, nullspace, sparse
 from test_codim import REBASED, _rebased
 from test_linalg import gauss_jordan
 
@@ -499,6 +500,121 @@ def _structure_cases():
     a = truncated_poly(2, unital=True)
     d = Derivation(name="d", matrix=((Z, Z), (Z, F(1))))
     yield AlgebraWithDerivations(a, make_action(a, [d]))
+
+
+def signed_permutation(a: Algebra, perm, signs) -> Algebra:
+    """The algebra on the basis f_i = signs[i] e_{perm[i]}."""
+    inv = {p: i for i, p in enumerate(perm)}
+    table = {}
+    for i, pi in enumerate(perm):
+        for j, pj in enumerate(perm):
+            prod = a.table.get((pi, pj))
+            if prod:
+                table[(i, j)] = {
+                    inv[k]: signs[i] * signs[j] * signs[inv[k]] * w
+                    for k, w in prod.items()}
+    unit = tuple(signs[i] * a.unit[p] for i, p in enumerate(perm))
+    labels = tuple(a.basis_labels[p] for p in perm)
+    return Algebra(dim=a.dim, basis_labels=labels, table=table, unit=unit)
+
+
+def signed_utk(k: int, seed: int) -> Algebra:
+    """UTk(k) on a seeded signed permutation of its matrix units."""
+    base = builtin(f"UTk({k})").algebra
+    rng = random.Random(seed)
+    perm = list(range(base.dim))
+    rng.shuffle(perm)
+    return signed_permutation(base, perm, [rng.choice((1, -1))
+                                           for _ in perm])
+
+
+def dense_span_products(a, left, right) -> list:
+    """Reference: every product u v, in order, offered to a fresh span."""
+    span = RowSpan()
+    out = []
+    for u in left:
+        for v in right:
+            w = a.product(u, v)
+            if span.insert(w):
+                out.append(w)
+    return out
+
+
+def dense_radical(a: Algebra) -> list:
+    """Reference: the trace form criterion over all dim^2 basis pairs."""
+    if a.dim == 0:
+        return []
+    prods = [[a.product({i: F(1)}, {j: F(1)}) for j in range(a.dim)]
+             for i in range(a.dim)]
+    t = [sum((prods[i][j].get(j, Z) for j in range(a.dim)), Z)
+         for i in range(a.dim)]
+
+    def tr(v):
+        return sum((x * t[k] for k, x in v.items()), Z)
+    return nullspace([sparse([tr(w) for w in prods[j]] + [t[j]])
+                      for j in range(a.dim)])
+
+
+def dense_radical_powers(a: Algebra, rad) -> list:
+    """Reference: J, J^2, ... with every product offered."""
+    powers, current = [], list(rad)
+    while current:
+        powers.append(current)
+        current = dense_span_products(a, rad, current)
+    return powers
+
+
+def _ordered(vectors) -> list:
+    """The vectors with their coordinates in stored order."""
+    return [list(v.items()) for v in vectors]
+
+
+def _sparse_route_cases():
+    for awd in _structure_cases():
+        yield awd.algebra
+    for k in range(3, 7):
+        yield signed_utk(k, seed=200 + k)
+
+
+def test_structure_steps_match_dense_references():
+    # the library multiplies only the pairs its support index can make
+    # nonzero; the references multiply every pair, and must accept the
+    # same vectors in the same order
+    for a in _sparse_route_cases():
+        rad = radical(a)
+        assert _ordered(rad) == _ordered(dense_radical(a))
+        powers = radical_powers(a, rad)
+        assert [_ordered(p) for p in powers] == \
+            [_ordered(p) for p in dense_radical_powers(a, rad)]
+        wd = wedderburn(a)
+        units = [{i: F(1)} for i in range(a.dim)]
+        spans = (units, rad, list(wd.complement_basis),
+                 list(wd.block_idempotents), powers[-1] if powers else [])
+        for left in spans:
+            for right in spans:
+                assert _ordered(span_products(a, left, right)) == \
+                    _ordered(dense_span_products(a, left, right))
+
+
+def test_radical_powers_and_exponent_make_no_zero_product(monkeypatch):
+    # on UTk(6) the products of the radical with J^k are mostly zero;
+    # the structure pass must not compute any of them
+    a = signed_utk(6, seed=6)
+    wd = wedderburn(a)
+    zeros = []
+    inner = Algebra.product
+
+    def counted(self, u, v):
+        w = inner(self, u, v)
+        if not w:
+            zeros.append((u, v))
+        return w
+
+    monkeypatch.setattr(Algebra, "product", counted)
+    powers = radical_powers(a, list(wd.radical_basis))
+    assert tuple(map(tuple, powers)) == wd.radical_power_bases
+    assert exponent(a, wd) == 6
+    assert zeros == []
 
 
 def test_quotient_matches_gauss_jordan():

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,8 +10,7 @@ from diffpi import (Algebra, AlgebraWithDerivations, Derivation,
                     detect_ut2_pattern, direct_sum, exponent, make_action,
                     operator_basis, wedderburn)
 from diffpi import growth
-from diffpi.linalg import RowSpan
-from test_algebra import quaternions
+from test_algebra import dense_span_products, quaternions, signed_utk
 
 F = Fraction
 Z = F(0)
@@ -143,30 +141,9 @@ def test_exponent_ignores_action():
     assert exponent(ut2.algebra) == exponent(builtin("UT2eps").algebra)
 
 
-def signed_permutation(a: Algebra, perm, signs) -> Algebra:
-    """The algebra on the basis f_i = signs[i] e_{perm[i]}."""
-    inv = {p: i for i, p in enumerate(perm)}
-    table = {}
-    for i, pi in enumerate(perm):
-        for j, pj in enumerate(perm):
-            prod = a.table.get((pi, pj))
-            if prod:
-                table[(i, j)] = {
-                    inv[k]: signs[i] * signs[j] * signs[inv[k]] * w
-                    for k, w in prod.items()}
-    unit = tuple(signs[i] * a.unit[p] for i, p in enumerate(perm))
-    labels = tuple(a.basis_labels[p] for p in perm)
-    return Algebra(dim=a.dim, basis_labels=labels, table=table, unit=unit)
-
-
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_utk_structure_under_signed_permutation(k):
-    base = builtin(f"UTk({k})").algebra
-    rng = random.Random(k)
-    perm = list(range(base.dim))
-    rng.shuffle(perm)
-    a = signed_permutation(base, perm, [rng.choice((1, -1))
-                                        for _ in perm])
+    a = signed_utk(k, seed=k)
     assert a.unit_witness() is None
     wd = wedderburn(a)
     assert exponent(a, wd) == k
@@ -176,17 +153,6 @@ def test_utk_structure_under_signed_permutation(k):
     # dimension k - i
     dims = [len(p) for p in wd.radical_power_bases] + [0]
     assert [d - e for d, e in zip(dims, dims[1:])] == list(range(k - 1, 0, -1))
-
-
-def _exhaustive_span_products(a, left, right) -> list:
-    span = RowSpan()
-    out = []
-    for u in left:
-        for v in right:
-            w = a.product(u, v)
-            if span.insert(w):
-                out.append(w)
-    return out
 
 
 def exhaustive_exponent(a: Algebra, wd) -> int:
@@ -201,13 +167,13 @@ def exhaustive_exponent(a: Algebra, wd) -> int:
     def extend(span_vecs: list, used: frozenset, total: int):
         nonlocal best
         best = max(best, total)
-        through = _exhaustive_span_products(a, span_vecs, rad) if rad else []
+        through = dense_span_products(a, span_vecs, rad) if rad else []
         if not through:
             return
         for i, bb in enumerate(blocks):
             if i in used:
                 continue
-            nxt = _exhaustive_span_products(a, through, bb)
+            nxt = dense_span_products(a, through, bb)
             if nxt:
                 extend(nxt, used | {i}, total + len(bb))
 
@@ -236,13 +202,7 @@ def _differential_cases():
         yield pytest.param(random_split_algebra(seed).algebra,
                            id=f"corpus-{seed}")
     for k in range(3, 8):
-        base = builtin(f"UTk({k})").algebra
-        rng = random.Random(100 + k)
-        perm = list(range(base.dim))
-        rng.shuffle(perm)
-        signs = [rng.choice((1, -1)) for _ in perm]
-        yield pytest.param(signed_permutation(base, perm, signs),
-                           id=f"signed-UTk({k})")
+        yield pytest.param(signed_utk(k, seed=100 + k), id=f"signed-UTk({k})")
     for name in ("UTk(5)+UTk(4)", "UTk(3)+Mk(2)", "UT2eps+UT2eps"):
         yield pytest.param(builtin(name).algebra, id=name)
     yield pytest.param(two_cycle_quiver(), id="two-cycle-quiver")
