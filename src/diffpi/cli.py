@@ -98,6 +98,10 @@ def parse_algebra_file(data) -> tuple[Algebra, tuple]:
     if unknown:
         raise AlgebraFileError(f"unknown fields: {', '.join(unknown)}")
     if "builtin" in data:
+        others = sorted(set(data) - {"builtin"})
+        if others:
+            raise AlgebraFileError(f"builtin: takes no other fields, got "
+                                   f"{', '.join(others)}")
         name = data["builtin"]
         if not isinstance(name, str):
             raise AlgebraFileError("builtin: expected a name string")

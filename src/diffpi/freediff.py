@@ -372,6 +372,7 @@ def apply_word(word: Sequence[int], p: DiffPoly, ob: OperatorBasis) -> DiffPoly:
     return DiffPoly(p.n, terms)
 
 
+_MAX_DEPTH = 100  # each level of nesting takes four Python stack frames
 _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z][A-Za-z0-9]*)|([-+*,^\[\]()]))")
 
 
@@ -394,6 +395,7 @@ class _Parser:
         self._tokenize()
         self.i = 0
         self.max_var = -1
+        self.depth = 0  # brackets open around the current atom
 
     def _tokenize(self):
         pos = 0
@@ -502,15 +504,18 @@ class _Parser:
                 raise DiffSyntaxError("variables are numbered from x1", pos, self.src)
             self.max_var = max(self.max_var, var)
             return DiffPoly.variable(var, var + 1)
-        if tok == "[":
-            u = self.poly()
-            self.expect(",")
-            v = self.poly()
-            self.expect("]")
-            return u * v - v * u
-        if tok == "(":
+        if tok in ("[", "("):
+            self.depth += 1
+            if self.depth > _MAX_DEPTH:
+                raise DiffSyntaxError(f"brackets nested more than "
+                                      f"{_MAX_DEPTH} deep", pos, self.src)
             p = self.poly()
-            self.expect(")")
+            if tok == "[":
+                self.expect(",")
+                v = self.poly()
+                p = p * v - v * p
+            self.expect("]" if tok == "[" else ")")
+            self.depth -= 1
             return p
         raise DiffSyntaxError(f"expected variable, bracket or parenthesis, "
                               f"got {tok!r}", pos, self.src)

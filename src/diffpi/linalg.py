@@ -1,14 +1,12 @@
 """Exact sparse linear algebra over the rationals.
 
-Every scalar this module computes and returns is a fractions.Fraction
-(stack only moves the entries it is given): arithmetic is exact and
-canonical (normalized sign, lowest terms), so equality of results never
-depends on evaluation order and no rounding ever happens. Vectors are
-sparse dicts {column: scalar}. RowSpan eliminates on primitive integer
-multiples of its rows, in the spirit of fraction-free Gaussian
-elimination, and returns the same pivots as rational elimination would.
-It takes rows of ints as well as of Fractions, and a row and any
-positive multiple of it reduce to the same primitive integer row.
+Vectors are sparse dicts {column: scalar} of ints or fractions.Fraction,
+and arithmetic is exact and canonical (normalized sign, lowest terms),
+so results never depend on evaluation order. RowSpan keeps one
+primitive integer row per pivot and eliminates on those rows, fraction
+free: it accepts the rows rational elimination would, and a row and any
+positive multiple of it reduce to the same row. express, coordinates,
+nullspace and solve return Fractions; only reduced_rows normalizes rows.
 
 All pivot choices are deterministic: columns are cleared left to right,
 by the earliest inserted row in RowSpan. Same input, same pivots, same
@@ -104,8 +102,8 @@ def _relations(cols: Sequence[dict]) -> dict:
     span, out = RowSpan(), {}
     for j, col in enumerate(cols):
         res = span._reduce({**col, off + j: ONE})
-        if min(res) < off:  # res is primitive: insert keeps it as it is
-            span.insert(res)
+        if min(res) < off:  # res is reduced and primitive: store it
+            span.pivots[min(res)] = res
         else:
             p = res[off + j]
             out[j] = {k - off: Fraction(v, p) for k, v in res.items()}
@@ -148,25 +146,26 @@ def coordinates(basis: Sequence[dict]
 
     The returned map sends a vector v to {i: c}, sorted by i and without
     zeros, with v = sum of c times basis[i], and a vector outside the
-    span to None. The echelon rows of [basis | I] are vectors of the
-    span next to their coordinates; v's RowSpan.express picks them.
+    span to None. v, with a 1 in a marker column after the others, is
+    reduced against the echelon rows of [basis | I]: what is left is a
+    multiple of [0 | -c | 1], or has a column of v if v is outside.
     """
     off = 1 + max((c for b in basis for c in b), default=-1)
+    mark = off + len(basis)
     aug = RowSpan()
     for i, b in enumerate(basis):
         aug.insert({**b, off + i: ONE})
     if any(c >= off for c in aug.pivots):  # some combination of basis is 0
         return None
-    span, coords_of = RowSpan(), {}
-    for c, row in aug.pivots.items():
-        span.insert({j: v for j, v in row.items() if j < off})
-        coords_of[c] = {j - off: v for j, v in row.items() if j >= off}
 
     def coords(v: dict) -> Optional[dict]:
-        x = span.express(v)
-        if x is None:
+        if any(x for c, x in v.items() if c >= off):
             return None
-        return dict(sorted(combine(x, coords_of).items()))
+        res = aug._reduce({**v, mark: ONE})
+        if min(res) < off:
+            return None
+        m = res.pop(mark)
+        return {j - off: Fraction(-x, m) for j, x in sorted(res.items())}
 
     return coords
 
@@ -175,26 +174,20 @@ class RowSpan:
     """Incremental echelon span of sparse rows.
 
     insert() reduces a row against the current echelon and, if a nonzero
-    residue remains, stores it (normalized to leading coefficient 1,
-    leading = smallest column). Rows inserted earlier always win ties,
-    so with rows offered in a fixed order the accepted set is canonical.
+    residue remains, stores it in pivots as a primitive integer row
+    (ints with gcd 1, leading = smallest column), a multiple of the row
+    rational elimination would keep. Rows inserted earlier always win
+    ties, so with rows offered in a fixed order the accepted set is
+    canonical.
 
-    Reduction runs on primitive integer multiples of the rows: clearing
-    the leading column of an integer row against an integer pivot row
-    gives a multiple of the rational residue, so the accepted set and
-    the normalized pivots are exactly those of rational elimination,
-    at the cost of int rather than Fraction arithmetic.
-
-    express() writes a vector in these echelon rows by the same forward
+    express() writes a vector in these integer rows by the same forward
     reduction, and nullspace and solve reduce augmented rows with it;
-    reduced_rows() back-substitutes, for consequences alone, which
-    outputs the unique reduced basis. To write vectors in a chosen
-    basis, use coordinates(basis).
+    reduced_rows() normalizes and back-substitutes, for consequences
+    alone. To write vectors in a chosen basis, use coordinates(basis).
     """
 
     def __init__(self):
-        self.pivots: dict[int, dict] = {}
-        self._ints: dict[int, dict] = {}  # lead -> primitive integer row
+        self.pivots: dict[int, dict] = {}  # lead -> primitive integer row
 
     def __len__(self):
         return len(self.pivots)
@@ -216,7 +209,7 @@ class RowSpan:
                 res = {j: v // c for j, v in res.items()}
                 sd *= c
             lead = min(res)
-            piv = self._ints.get(lead)
+            piv = self.pivots.get(lead)
             if piv is None:
                 break
             g = gcd(piv[lead], res[lead])
@@ -224,8 +217,8 @@ class RowSpan:
             if a != 1:
                 res = {j: a * v for j, v in res.items()}
                 sn *= a
-            if used is not None:  # piv is piv[lead] times pivots[lead]
-                used[lead] = b * sd * piv[lead], sn
+            if used is not None:
+                used[lead] = b * sd, sn
             for j, v in piv.items():
                 nv = res.get(j, 0) - b * v
                 if nv:
@@ -239,17 +232,14 @@ class RowSpan:
         residue = self._reduce(row)
         if not residue:
             return False
-        lead = min(residue)
-        p = residue[lead]
-        self._ints[lead] = residue
-        self.pivots[lead] = {j: Fraction(v, p) for j, v in residue.items()}
+        self.pivots[min(residue)] = residue
         return True
 
     def contains(self, row: dict) -> bool:
         return not self._reduce(row)
 
     def express(self, row: dict) -> Optional[dict]:
-        """Coordinates of row in the span's own echelon rows, or None if
+        """Coordinates of row in the span's own integer rows, or None if
         row is outside the span: {c: x_c} in increasing c and without
         zeros, with row equal to the sum of x_c times pivots[c]."""
         used: dict = {}
@@ -258,12 +248,13 @@ class RowSpan:
         return {c: Fraction(num, den) for c, (num, den) in used.items()}
 
     def reduced_rows(self) -> dict:
-        """Reduced echelon basis {pivot column: row}: each row is 1 at its
-        own pivot column and 0 at every other one, so a vector of the
-        span has its pivot-column entries as coordinates."""
+        """Reduced echelon basis {pivot column: row} of Fractions: each
+        row is 1 at its own pivot column and 0 at every other one, so a
+        vector of the span has its pivot-column entries as coordinates."""
         out: dict[int, dict] = {}
         for lead in sorted(self.pivots, reverse=True):
-            row = dict(self.pivots[lead])
+            piv = self.pivots[lead]
+            row = {j: Fraction(v, piv[lead]) for j, v in piv.items()}
             for c in [c for c in row if c in out]:
                 f = row[c]
                 for j, v in out[c].items():

@@ -492,6 +492,11 @@ VALIDATE = ("validate", "FILE")
                  id="top-level-list"),
     pytest.param(VALIDATE, json.dumps({"builtin": 5}).encode(),
                  "builtin: expected a name string", id="builtin-number"),
+    pytest.param(VALIDATE, json.dumps({"builtin": "UT2eps", "dim": 7,
+                                       "table": "junk",
+                                       "derivations": 3}).encode(),
+                 "builtin: takes no other fields, got derivations, dim, "
+                 "table", id="builtin-with-fields"),
     pytest.param(VALIDATE, json.dumps({"dim": 1, "basis": ["x"]}).encode(),
                  "missing required field 'table'", id="missing-table"),
     pytest.param(VALIDATE, _file(dim=0), "dim: expected a positive integer",
@@ -538,6 +543,21 @@ def test_input_schema_errors_name_their_field(capsys, tmp_path, argv, blob,
     assert code == 1
     assert err.startswith("error:") and want in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("deep", [
+    pytest.param("(" * 2000 + "x1" + ")" * 2000, id="parentheses"),
+    pytest.param("[" * 2000 + "x1" + ",x1]" * 2000, id="commutators"),
+])
+def test_deep_nesting_exits_with_a_syntax_error(capsys, tmp_path, deep):
+    gens = tmp_path / "gens.txt"
+    gens.write_text(deep + "\n")
+    for argv in (("check-identity", "UT2eps", "--poly", deep),
+                 ("consequences", "UT2eps", "--gens", str(gens), "--n", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and "nested more than 100" in err
+        assert "Traceback" not in err
 
 
 def test_report_top_level_keys(capsys):

@@ -250,7 +250,6 @@ def test_integer_images_build_the_exact_span(case, monkeypatch):
         for x, y in ((s.quotient, e.quotient), (s.ordinary, e.ordinary)):
             # the same rows, inserted in the same order
             assert list(x.pivots.items()) == list(y.pivots.items())
-            assert list(x._ints.items()) == list(y._ints.items())
     # the scaling works on copies: the inputs keep their Fractions
     assert _fractions_only(a.table.values())
     assert all(_fractions_only(op) for op in ob.ops)

@@ -170,6 +170,13 @@ def test_parse_errors_position(ut2eps_ob):
     with pytest.raises(DiffSyntaxError) as e:
         parse_diff_poly("x1 + 1/0 x2", ut2eps_ob)
     assert e.value.pos == 5
+    # 100 nested levels parse even under pytest's deep stack; 101 do not
+    nest = "(" * 99 + "[x1,x2]" + ")" * 99
+    assert (parse_diff_poly(nest, ut2eps_ob).terms
+            == parse_diff_poly("[x1,x2]", ut2eps_ob).terms)
+    with pytest.raises(DiffSyntaxError) as e:
+        parse_diff_poly("(" + nest + ")", ut2eps_ob)
+    assert e.value.pos == 100 and "nested more than 100" in str(e.value)
 
 
 def test_parse_unknown_operator(ut2eps_ob):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -217,7 +218,8 @@ def test_rowspan_matches_rational_elimination(rows):
     want_accepted, want_pivots = rational_pivots(sparse)
     s = RowSpan()
     assert [s.insert(r) for r in sparse] == want_accepted
-    assert s.pivots == want_pivots
+    assert {c: {j: F(v, row[c]) for j, v in row.items()}
+            for c, row in s.pivots.items()} == want_pivots
     rref = s.reduced_rows()
     for c, row in rref.items():
         assert row[c] == 1 and not set(row) & (set(s.pivots) - {c})
@@ -227,6 +229,21 @@ def test_rowspan_matches_rational_elimination(rows):
         assert set(combo) <= set(s.pivots) and all(combo.values())
         assert list(combo) == sorted(combo)
         assert combine(combo, s.pivots) == target
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(fraction, min_size=5, max_size=5), min_size=1,
+                max_size=7))
+def test_rowspan_keeps_one_primitive_integer_row_per_pivot(rows):
+    s = RowSpan()
+    for r in rows:
+        s.insert({j: v for j, v in enumerate(r) if v})
+        assert not s.insert({j: 6 * v for j, v in enumerate(r) if v})
+    assert vars(s) == {"pivots": s.pivots}
+    for c, row in s.pivots.items():
+        assert min(row) == c
+        assert all(type(v) is int for v in row.values())
+        assert gcd(*row.values()) == 1
 
 
 def gauss_jordan(rows, ncols):
